@@ -331,252 +331,15 @@ let lp_comparison () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Kernel: flat floatarray tableau vs the nested-array engine          *)
+(* Kernel: warm flat-tableau latency and allocation                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The warm-start engine as it existed before the flat kernel: a
-   [float array array] tableau (one heap block per row, boxed row
-   pointers between them), column-major reduced costs rebuilt with
-   [Array.init] on every pivot, and a boxed solution record per solve.
-   Same algorithm as [Linprog.Solver] — phase 1 once, Dantzig pricing
-   with the sticky Bland fallback, identical tolerances — so the only
-   thing the comparison measures is the data layout and the
-   allocation behaviour. *)
-module Nested_solver = struct
-  let eps = 1e-9
-  let stall_limit = 20
-
-  type t = {
-    nvars : int;
-    mutable m : int;
-    ncols : int;
-    tab : float array array; (* m x (ncols + 1), rhs in the last slot *)
-    basis : int array;
-    first_artificial : int;
-    cost : float array; (* ncols slots, the loaded objective *)
-    mutable feasible : bool;
-  }
-
-  (* column-major over every column (disallowed ones price to
-     neg_infinity), one fresh array per pivot — the historical
-     scratch discipline *)
-  let reduced_costs t ~limit =
-    Array.init t.ncols (fun j ->
-        if j >= limit then neg_infinity
-        else begin
-          let r = ref t.cost.(j) in
-          for i = 0 to t.m - 1 do
-            let cb = t.cost.(t.basis.(i)) in
-            if cb <> 0. then r := !r -. (cb *. t.tab.(i).(j))
-          done;
-          !r
-        end)
-
-  let eliminate t ~row ~col =
-    let pr = t.tab.(row) in
-    let p = pr.(col) in
-    for j = 0 to t.ncols do
-      pr.(j) <- pr.(j) /. p
-    done;
-    for i = 0 to t.m - 1 do
-      if i <> row then begin
-        let f = t.tab.(i).(col) in
-        if f <> 0. then begin
-          let ri = t.tab.(i) in
-          for j = 0 to t.ncols do
-            ri.(j) <- ri.(j) -. (f *. pr.(j))
-          done
-        end
-      end
-    done;
-    t.basis.(row) <- col
-
-  let ratio_leave t ~col =
-    let best = ref infinity and leave = ref (-1) in
-    for i = 0 to t.m - 1 do
-      let a = t.tab.(i).(col) in
-      if a > eps then begin
-        let r = t.tab.(i).(t.ncols) /. a in
-        if
-          r < !best -. eps
-          || (abs_float (r -. !best) <= eps
-              && !leave >= 0
-              && t.basis.(i) < t.basis.(!leave))
-        then begin
-          best := r;
-          leave := i
-        end
-      end
-    done;
-    (!leave, !leave >= 0 && !best <= eps)
-
-  let run_phase t ~limit =
-    let bland = ref false and stall = ref 0 in
-    let state = ref 0 and iter = ref 0 in
-    while !state = 0 do
-      if !iter > 10_000 then failwith "Nested_solver: iteration limit";
-      incr iter;
-      let reduced = reduced_costs t ~limit in
-      let entering = ref (-1) in
-      if !bland then begin
-        let j = ref 0 in
-        while !entering < 0 && !j < limit do
-          if reduced.(!j) > eps then entering := !j;
-          incr j
-        done
-      end
-      else begin
-        let bestv = ref eps in
-        for j = 0 to limit - 1 do
-          if reduced.(j) > !bestv then begin
-            bestv := reduced.(j);
-            entering := j
-          end
-        done
-      end;
-      if !entering < 0 then state := 1
-      else begin
-        let leave, degenerate = ratio_leave t ~col:!entering in
-        if leave < 0 then state := 2
-        else begin
-          if degenerate then begin
-            incr stall;
-            if !stall > stall_limit then bland := true
-          end
-          else stall := 0;
-          eliminate t ~row:leave ~col:!entering
-        end
-      end
-    done;
-    !state = 1
-
-  let objective t =
-    let acc = ref 0. in
-    for i = 0 to t.m - 1 do
-      let cb = t.cost.(t.basis.(i)) in
-      if cb <> 0. then acc := !acc +. (cb *. t.tab.(i).(t.ncols))
-    done;
-    !acc
-
-  let create ~nvars ~constrs =
-    (* identical normalisation/layout to Linprog (rhs >= 0; slack per
-       inequality; artificial per Ge/Eq row) *)
-    let normalised =
-      List.map
-        (fun (c : Linprog.Simplex.constr) ->
-          if c.Linprog.Simplex.rhs < 0. then
-            Linprog.Simplex.constr
-              (Array.map (fun a -> -.a) c.Linprog.Simplex.coeffs)
-              (match c.Linprog.Simplex.relation with
-              | Linprog.Simplex.Le -> Linprog.Simplex.Ge
-              | Linprog.Simplex.Ge -> Linprog.Simplex.Le
-              | Linprog.Simplex.Eq -> Linprog.Simplex.Eq)
-              (-.c.Linprog.Simplex.rhs)
-          else c)
-        constrs
-    in
-    let m = List.length normalised in
-    let n_slack =
-      List.length
-        (List.filter
-           (fun c -> c.Linprog.Simplex.relation <> Linprog.Simplex.Eq)
-           normalised)
-    in
-    let first_artificial = nvars + n_slack in
-    let n_art =
-      List.length
-        (List.filter
-           (fun c -> c.Linprog.Simplex.relation <> Linprog.Simplex.Le)
-           normalised)
-    in
-    let ncols = first_artificial + n_art in
-    let t =
-      { nvars;
-        m;
-        ncols;
-        tab = Array.init m (fun _ -> Array.make (ncols + 1) 0.);
-        basis = Array.make m 0;
-        first_artificial;
-        cost = Array.make ncols 0.;
-        feasible = false;
-      }
-    in
-    let slack = ref nvars and art = ref first_artificial in
-    List.iteri
-      (fun i (c : Linprog.Simplex.constr) ->
-        Array.blit c.Linprog.Simplex.coeffs 0 t.tab.(i) 0 nvars;
-        t.tab.(i).(ncols) <- c.Linprog.Simplex.rhs;
-        match c.Linprog.Simplex.relation with
-        | Linprog.Simplex.Le ->
-          t.tab.(i).(!slack) <- 1.;
-          t.basis.(i) <- !slack;
-          incr slack
-        | Linprog.Simplex.Ge ->
-          t.tab.(i).(!slack) <- -1.;
-          incr slack;
-          t.tab.(i).(!art) <- 1.;
-          t.basis.(i) <- !art;
-          incr art
-        | Linprog.Simplex.Eq ->
-          t.tab.(i).(!art) <- 1.;
-          t.basis.(i) <- !art;
-          incr art)
-      normalised;
-    (* phase 1 *)
-    Array.fill t.cost 0 ncols 0.;
-    for j = first_artificial to ncols - 1 do
-      t.cost.(j) <- -1.
-    done;
-    ignore (run_phase t ~limit:ncols : bool);
-    if objective t < -.eps then t.feasible <- false
-    else begin
-      (* drive artificials out of the basis (or drop redundant rows) *)
-      let i = ref 0 in
-      while !i < t.m do
-        if t.basis.(!i) >= first_artificial then begin
-          let col = ref (-1) and j = ref 0 in
-          while !col < 0 && !j < first_artificial do
-            if abs_float t.tab.(!i).(!j) > eps then col := !j;
-            incr j
-          done;
-          if !col >= 0 then begin
-            eliminate t ~row:!i ~col:!col;
-            incr i
-          end
-          else begin
-            t.tab.(!i) <- t.tab.(t.m - 1);
-            t.m <- t.m - 1
-          end
-        end
-        else incr i
-      done;
-      t.feasible <- true
-    end;
-    t
-
-  (* warm phase-2 reoptimize, boxed solution like the historical API *)
-  let reoptimize t ~c =
-    if not t.feasible then failwith "Nested_solver: infeasible";
-    Array.fill t.cost 0 t.ncols 0.;
-    Array.blit c 0 t.cost 0 t.nvars;
-    if not (run_phase t ~limit:t.first_artificial) then
-      failwith "Nested_solver: unbounded";
-    let x = Array.make t.nvars 0. in
-    for i = 0 to t.m - 1 do
-      let b = t.basis.(i) in
-      if b < t.nvars then x.(b) <- t.tab.(i).(t.ncols)
-    done;
-    (x, objective t)
-end
-
-(* The production TDBC LP swept warm on both engines: same create-once
-   instance, same 129 objectives, identical pivot rule. Wall time is
-   total over [reps] sweeps; latency percentiles and the
-   allocations-per-warm-solve figure come from dedicated unmixed
-   passes so timing instrumentation never pollutes the allocation
-   measurement (and vice versa). *)
-let kernel_comparison () =
-  hr "KERNEL: flat floatarray tableau vs nested arrays (129-weight TDBC sweep)";
+(* The production TDBC LP swept warm on the flat kernel: one create-once
+   instance, 129 objectives. Latency percentiles and the
+   allocations-per-warm-solve figure come from separate passes so
+   timing instrumentation never pollutes the allocation measurement. *)
+let kernel_warm_solves () =
+  hr "KERNEL: warm flat-tableau solves (129-weight TDBC sweep)";
   let nvars, constrs = Bidir.Rate_region.lp_constraints tdbc_bound in
   let weights = 129 in
   let objectives =
@@ -587,52 +350,25 @@ let kernel_comparison () =
         c.(1) <- 1. -. w;
         c)
   in
-  let reps = 400 in
-  let nested = Nested_solver.create ~nvars ~constrs in
-  let flat = Linprog.Solver.create ~nvars ~constrs in
+  let solver = Linprog.Solver.create ~nvars ~constrs in
   let x = Array.make (nvars + 1) 0. in
-  let nested_objs = Array.make weights nan in
-  let flat_objs = Array.make weights nan in
-  let nested_sweep () =
+  let sweep () =
     for i = 0 to weights - 1 do
-      let _, obj = Nested_solver.reoptimize nested ~c:objectives.(i) in
-      nested_objs.(i) <- obj
-    done
-  in
-  let flat_sweep () =
-    for i = 0 to weights - 1 do
-      (match Linprog.Solver.reoptimize_into flat ~c:objectives.(i) ~x with
+      match Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x with
       | Linprog.Solver.Optimal -> ()
       | Linprog.Solver.Unbounded | Linprog.Solver.Infeasible ->
-        failwith "kernel_comparison: non-optimal production LP");
-      flat_objs.(i) <- x.(nvars)
+        failwith "kernel_warm_solves: non-optimal production LP"
     done
   in
-  (* warm both engines, and fault in every code path once *)
-  nested_sweep ();
-  flat_sweep ();
-  let time_sweeps sweep =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      sweep ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let nested_dt = time_sweeps nested_sweep in
-  let flat_dt = time_sweeps flat_sweep in
-  let speedup = nested_dt /. Float.max flat_dt 1e-12 in
-  let objectives_equal =
-    Array.for_all2
-      (fun a b -> abs_float (a -. b) <= 1e-9)
-      nested_objs flat_objs
-  in
-  (* flat warm latency distribution, per solve *)
+  (* warm the basis, and fault in every code path once *)
+  sweep ();
+  (* warm latency distribution, per solve *)
   Telemetry.Metrics.reset ();
   let lp_seconds = Telemetry.Metrics.histogram "lp.solve_seconds" in
   for i = 0 to weights - 1 do
     Telemetry.Metrics.time lp_seconds (fun () ->
         ignore
-          (Linprog.Solver.reoptimize_into flat ~c:objectives.(i) ~x
+          (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x
             : Linprog.Solver.verdict))
   done;
   let p50, _, p99 = Telemetry.Histogram.percentiles lp_seconds in
@@ -640,27 +376,17 @@ let kernel_comparison () =
      sweep (the read itself boxes ~a dozen bytes, amortised to zero by
      the integer division over 129 solves) *)
   let b0 = Gc.allocated_bytes () in
-  flat_sweep ();
+  sweep ();
   let alloc_per_warm_solve =
     int_of_float (Float.max 0. (Gc.allocated_bytes () -. b0)) / weights
   in
-  Printf.printf "nested arrays:  %8.2f ms/sweep\n" (1000. *. nested_dt);
-  Printf.printf "flat kernel:    %8.2f ms/sweep  (%.2fx speedup)\n"
-    (1000. *. flat_dt) speedup;
-  Printf.printf
-    "flat warm solve: p50=%.3gs p99=%.3gs, %d alloc B/solve; objectives \
-     agree to 1e-9: %b\n"
-    p50 p99 alloc_per_warm_solve objectives_equal;
+  Printf.printf "warm solve: p50=%.3gs p99=%.3gs, %d alloc B/solve\n" p50 p99
+    alloc_per_warm_solve;
   Telemetry.Json.Obj
     [ ("weights", Telemetry.Json.Int weights);
-      ("reps", Telemetry.Json.Int reps);
-      ("nested_seconds_per_sweep", Telemetry.Json.Float nested_dt);
-      ("flat_seconds_per_sweep", Telemetry.Json.Float flat_dt);
-      ("speedup", Telemetry.Json.Float speedup);
       ("solve_seconds_p50", Telemetry.Json.Float p50);
       ("solve_seconds_p99", Telemetry.Json.Float p99);
       ("alloc_bytes_per_warm_solve", Telemetry.Json.Int alloc_per_warm_solve);
-      ("objectives_equal", Telemetry.Json.Bool objectives_equal);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -771,170 +497,6 @@ let campaign_comparison () =
        Telemetry.Json.List
          [ Telemetry.Json.Float analytic_lo; Telemetry.Json.Float analytic_hi ]);
       ("campaign_within_ci", Telemetry.Json.Bool within_ci);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Queue: two-list batch queue vs the old list-append FIFO             *)
-(* ------------------------------------------------------------------ *)
-
-(* the FIFO Traffic used before the two-list queue: [@] copies the whole
-   queue on every enqueue, so a backed-up horizon costs O(blocks^2) *)
-module Append_queue = struct
-  type t = { mutable batches : (float * int) list; mutable bits : int }
-
-  let create () = { batches = []; bits = 0 }
-
-  let enqueue q ~arrival ~bits =
-    if bits > 0 then begin
-      q.batches <- q.batches @ [ (arrival, bits) ];
-      q.bits <- q.bits + bits
-    end
-
-  let drain q ~budget ~now =
-    let rec go budget acc =
-      match q.batches with
-      | [] -> acc
-      | (arrival, bits) :: rest ->
-        if bits <= budget then begin
-          q.batches <- rest;
-          q.bits <- q.bits - bits;
-          go (budget - bits) ((now -. arrival) :: acc)
-        end
-        else begin
-          q.batches <- (arrival, bits - budget) :: rest;
-          q.bits <- q.bits - budget;
-          acc
-        end
-    in
-    go budget []
-end
-
-let queue_comparison () =
-  hr "QUEUE: two-list batch queue vs list-append FIFO (20k-block horizon)";
-  (* the exact per-block arrival trace Traffic.run generates for TDBC at
-     the Fig. 4 gains, P = 10 dB, over a 20_000-block horizon — generated
-     once per load, replayed through both queue implementations.  Two
-     loads: 0.95 (the top of the delay curves; the queue hovers near a
-     dozen frames so both FIFOs are cheap and must agree exactly) and
-     1.05 (sustained overload: the backlog grows without bound, which is
-     where the old [@]-append turns every enqueue into an O(queue) copy
-     and the horizon into O(blocks^2)) *)
-  let blocks = 20_000 in
-  let block_symbols = 1_000 in
-  let opt =
-    Bidir.Optimize.sum_rate Bidir.Protocol.Tdbc Bidir.Bound.Inner
-      paper_scenario
-  in
-  let n = float_of_int block_symbols in
-  let serve_a = int_of_float (opt.Bidir.Optimize.ra *. n) in
-  let serve_b = int_of_float (opt.Bidir.Optimize.rb *. n) in
-  let frame_a = max 1 (serve_a / 4) in
-  let frame_b = max 1 (serve_b / 4) in
-  let make_trace ~seed ~load =
-    let rng = Prob.Rng.create ~seed in
-    let poisson mean =
-      if mean <= 0. then 0
-      else begin
-        let l = exp (-.mean) in
-        let rec go k p =
-          let p = p *. Prob.Rng.float rng in
-          if p > l && k < 100_000 then go (k + 1) p else k
-        in
-        go 0 1.
-      end
-    in
-    let offer mean_serve frame =
-      if mean_serve = 0 then 0.
-      else load *. float_of_int mean_serve /. float_of_int frame
-    in
-    let offer_a = offer serve_a frame_a and offer_b = offer serve_b frame_b in
-    Array.init blocks (fun _ -> (poisson offer_a, poisson offer_b))
-  in
-  (* both replays produce (sojourns in completion order, leftover bits):
-     comparing them end-to-end is the behavioural-equivalence check *)
-  let replay trace ~create ~enqueue ~drain ~bits () =
-    let qa = create () and qb = create () in
-    let delays = ref [] in
-    Array.iteri
-      (fun block (frames_a, frames_b) ->
-        let now = float_of_int block in
-        for _ = 1 to frames_a do
-          enqueue qa ~arrival:now ~bits:frame_a
-        done;
-        for _ = 1 to frames_b do
-          enqueue qb ~arrival:now ~bits:frame_b
-        done;
-        let done_a = drain qa ~budget:serve_a ~now:(now +. 1.) in
-        let done_b = drain qb ~budget:serve_b ~now:(now +. 1.) in
-        delays := List.rev_append done_a !delays;
-        delays := List.rev_append done_b !delays)
-      trace;
-    (List.rev !delays, bits qa + bits qb)
-  in
-  let time_best ~reps f =
-    let best = ref infinity and out = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then begin
-        best := dt;
-        out := Some r
-      end
-    done;
-    (Option.get !out, !best)
-  in
-  let compare_at ~label ~load ~reps =
-    let trace = make_trace ~seed:97 ~load in
-    let append_result, append_dt =
-      time_best ~reps
-        (replay trace ~create:Append_queue.create
-           ~enqueue:Append_queue.enqueue ~drain:Append_queue.drain
-           ~bits:(fun (q : Append_queue.t) -> q.Append_queue.bits))
-    in
-    let batch_result, batch_dt =
-      time_best ~reps
-        (replay trace ~create:Netsim.Batch_queue.create
-           ~enqueue:Netsim.Batch_queue.enqueue
-           ~drain:Netsim.Batch_queue.drain ~bits:Netsim.Batch_queue.bits)
-    in
-    let results_equal = append_result = batch_result in
-    let speedup = append_dt /. Float.max batch_dt 1e-9 in
-    let delivered, leftover = batch_result in
-    Printf.printf
-      "%s (load %.2f): %d completions, %d bits left queued\n" label load
-      (List.length delivered) leftover;
-    Printf.printf "  list-append FIFO:   %8.1f ms\n" (1000. *. append_dt);
-    Printf.printf "  two-list queue:     %8.1f ms\n" (1000. *. batch_dt);
-    Printf.printf "  speedup %.1fx; identical completions and backlog: %b\n"
-      speedup results_equal;
-    ( speedup,
-      results_equal,
-      Telemetry.Json.Obj
-        [ ("load", Telemetry.Json.Float load);
-          ("completions", Telemetry.Json.Int (List.length delivered));
-          ("leftover_bits", Telemetry.Json.Int leftover);
-          ("append_seconds", Telemetry.Json.Float append_dt);
-          ("two_list_seconds", Telemetry.Json.Float batch_dt);
-          ("speedup", Telemetry.Json.Float speedup);
-          ("results_equal", Telemetry.Json.Bool results_equal);
-        ] )
-  in
-  let _stable_speedup, stable_equal, stable_json =
-    compare_at ~label:"near-capacity replay" ~load:0.95 ~reps:3
-  in
-  (* a single rep suffices under overload: the gap is orders of
-     magnitude, not noise *)
-  let overload_speedup, overload_equal, overload_json =
-    compare_at ~label:"sustained-overload replay" ~load:1.05 ~reps:1
-  in
-  Telemetry.Json.Obj
-    [ ("blocks", Telemetry.Json.Int blocks);
-      ("near_capacity", stable_json);
-      ("overload", overload_json);
-      ("queue_speedup", Telemetry.Json.Float overload_speedup);
-      ( "queue_results_equal",
-        Telemetry.Json.Bool (stable_equal && overload_equal) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1075,9 +637,6 @@ let tests =
       (stage (fun () -> ignore (Bidir.Rate_region.boundary tdbc_bound)));
     Test.make ~name:"ablation: naive 30x30 grid region"
       (stage (fun () -> ignore (naive_grid_region tdbc_bound ~cells:30)));
-    Test.make ~name:"kernel: Blahut-Arimoto (BSC 0.1)"
-      (stage (fun () ->
-           ignore (Infotheory.Blahut.capacity (Infotheory.Channels.bsc 0.1))));
     (let net =
        Bidir.Discrete.bsc_network ~p_ab:0.15 ~p_ar:0.05 ~p_br:0.02 ~p_mac:0.05
      in
@@ -1217,15 +776,13 @@ let write_bench_json ~repro_stats ~repro_telemetry ~comparison ~lp ~kernel
 
 let campaign_json_path = "BENCH_campaign.json"
 
-(* Campaign + queue numbers in their own document: the two subsystems
-   this bench gates for byte-identical parallelism and for the
-   amortised-O(1) queue replacement. *)
-let write_campaign_json ~campaign ~queue =
+(* Campaign numbers in their own document: the subsystem this bench
+   gates for byte-identical parallelism. *)
+let write_campaign_json ~campaign =
   let json =
     Telemetry.Json.Obj
       [ ("schema", Telemetry.Json.String "bidir-bench-campaign/1");
         ("campaign", campaign);
-        ("queue", queue);
       ]
   in
   let oc = open_out campaign_json_path in
@@ -1264,7 +821,7 @@ let trajectory_path = "BENCH_trajectory.jsonl"
    trajectory across commits; the full-fidelity baseline for `bidir
    check` style diffing lives in BENCH_snapshot.json. *)
 let append_trajectory ~(snapshot : Telemetry.Snapshot.t) ~comparison ~lp
-    ~kernel ~campaign ~queue ~network ~serve =
+    ~kernel ~campaign ~network ~serve =
   let hist_summary h =
     Telemetry.Json.Obj
       [ ("count", Telemetry.Json.Int (Telemetry.Histogram.count h));
@@ -1312,16 +869,13 @@ let append_trajectory ~(snapshot : Telemetry.Snapshot.t) ~comparison ~lp
           | None -> [])
         [ "alloc_bytes_per_solve" ]
       @
-      (* flat-kernel headline numbers, prefixed except the issue-facing
-         allocation key *)
+      (* flat-kernel allocation headline *)
       List.concat_map
-        (fun (key, out) ->
+        (fun key ->
           match Telemetry.Json.member key kernel with
-          | Some v -> [ (out, v) ]
+          | Some v -> [ (key, v) ]
           | None -> [])
-        [ ("speedup", "kernel_speedup");
-          ("objectives_equal", "kernel_objectives_equal");
-          ("alloc_bytes_per_warm_solve", "alloc_bytes_per_warm_solve") ]
+        [ "alloc_bytes_per_warm_solve" ]
       @ List.concat_map
           (fun key ->
             match Telemetry.Json.member key campaign with
@@ -1330,12 +884,6 @@ let append_trajectory ~(snapshot : Telemetry.Snapshot.t) ~comparison ~lp
           [ "campaign_speedup_4_domains"; "fanout_amortisation_speedup";
             "campaign_byte_identical"; "campaign_within_ci";
             "pool_idle_fraction"; "chunk_imbalance" ]
-      @ List.concat_map
-          (fun key ->
-            match Telemetry.Json.member key queue with
-            | Some v -> [ (key, v) ]
-            | None -> [])
-          [ "queue_speedup"; "queue_results_equal" ]
       @ List.concat_map
           (fun key ->
             match Telemetry.Json.member key network with
@@ -1375,17 +923,16 @@ let () =
   ablation ();
   let comparison = engine_comparison () in
   let lp = lp_comparison () in
-  let kernel = kernel_comparison () in
+  let kernel = kernel_warm_solves () in
   let campaign = campaign_comparison () in
-  let queue = queue_comparison () in
   let network = network_comparison () in
   let serve = serve_comparison () in
   write_bench_json ~repro_stats ~repro_telemetry ~comparison ~lp ~kernel
     ~serve;
-  write_campaign_json ~campaign ~queue;
+  write_campaign_json ~campaign;
   write_network_json ~network;
   append_trajectory ~snapshot:repro_snapshot ~comparison ~lp ~kernel ~campaign
-    ~queue ~network ~serve;
+    ~network ~serve;
   if not quick then begin
     (* time the real kernels, not cache lookups *)
     Engine.Memo.with_enabled false run_benchmarks

@@ -202,7 +202,8 @@ let figures_cmd =
     Arg.(value & pos 0 (some string) None
          & info [] ~docv:"ID"
              ~doc:"Artifact id: fig3, fig3-snr, fig4a, fig4b, gap, crossover, \
-                   hbc-witness, coding-gain, discrete, ergodic, or 'all' \
+                   hbc-witness, coding-gain, discrete, ergodic, map, \
+                   fd-penalty, delay, power-boost, outage, or 'all' \
                    (default).")
   in
   let csv_arg =
@@ -229,10 +230,7 @@ let figures_cmd =
         print_newline ()
       | Some dir ->
         let path = Filename.concat dir (name ^ "." ^ ext) in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc content);
+        write_file path content;
         Printf.printf "wrote %s\n" path
     in
     let figure (f : Bidir.Figures.figure) =

@@ -43,6 +43,15 @@ let url_decode s =
   done;
   Buffer.contents b
 
+(* RFC 9110 defines Content-Length as 1*DIGIT: no sign, base prefix or
+   underscore, all of which [int_of_string] would accept. At most 18
+   digits, so the value always fits in an OCaml int. *)
+let decimal_length v =
+  let n = String.length v in
+  if n = 0 || n > 18 || not (String.for_all (fun c -> c >= '0' && c <= '9') v)
+  then None
+  else Some (int_of_string v)
+
 let parse_params q =
   if q = "" then []
   else
@@ -112,9 +121,9 @@ let parse ?(max_head = 16 * 1024) ?(max_body = 64 * 1024) s =
             match List.assoc_opt "content-length" headers with
             | None -> Ok 0
             | Some v -> (
-              match int_of_string_opt (String.trim v) with
-              | Some n when n >= 0 -> Ok n
-              | _ -> Error ("bad content-length: " ^ v))
+              match decimal_length (String.trim v) with
+              | Some n -> Ok n
+              | None -> Error ("bad content-length: " ^ v))
           in
           match content_length with
           | Error e -> Invalid e

@@ -1,4 +1,4 @@
-(* Tests for GF(2) coding: bit vectors, matrices, codes, CRC, XOR relay. *)
+(* Tests for the relay's bit pipeline: bit vectors, CRC, XOR relay. *)
 
 let bv = Coding.Bitvec.of_string
 
@@ -65,128 +65,6 @@ let test_bitvec_random_deterministic () =
   check_bv "same stream" (Coding.Bitvec.random r1 64) (Coding.Bitvec.random r2 64)
 
 (* ------------------------------------------------------------------ *)
-(* Gf2_matrix                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_gf2_identity () =
-  let i3 = Coding.Gf2_matrix.identity 3 in
-  let v = bv "101" in
-  check_bv "I v = v" v (Coding.Gf2_matrix.mul_vec i3 v);
-  Alcotest.(check int) "rank" 3 (Coding.Gf2_matrix.rank i3)
-
-let test_gf2_mul () =
-  (* [[1 1][0 1]] * [[1 0][1 1]] = [[0 1][1 1]] *)
-  let a = Coding.Gf2_matrix.init ~rows:2 ~cols:2 (fun i j -> (i, j) <> (1, 0)) in
-  let b = Coding.Gf2_matrix.init ~rows:2 ~cols:2 (fun i j -> (i, j) <> (0, 1)) in
-  let c = Coding.Gf2_matrix.mul a b in
-  Alcotest.(check bool) "c00" false (Coding.Gf2_matrix.get c 0 0);
-  Alcotest.(check bool) "c01" true (Coding.Gf2_matrix.get c 0 1);
-  Alcotest.(check bool) "c10" true (Coding.Gf2_matrix.get c 1 0);
-  Alcotest.(check bool) "c11" true (Coding.Gf2_matrix.get c 1 1)
-
-let test_gf2_rank_deficient () =
-  (* two equal rows *)
-  let m = Coding.Gf2_matrix.init ~rows:2 ~cols:3 (fun _ j -> j < 2) in
-  Alcotest.(check int) "rank 1" 1 (Coding.Gf2_matrix.rank m)
-
-let test_gf2_inverse () =
-  let rng = Prob.Rng.create ~seed:9 in
-  for _ = 1 to 10 do
-    let m = Coding.Gf2_matrix.random_full_rank rng ~rows:6 ~cols:6 in
-    match Coding.Gf2_matrix.inverse m with
-    | None -> Alcotest.fail "full-rank square matrix must invert"
-    | Some inv ->
-      let p = Coding.Gf2_matrix.mul m inv in
-      Alcotest.(check bool) "m * m^-1 = I" true
-        (Coding.Gf2_matrix.equal p (Coding.Gf2_matrix.identity 6))
-  done
-
-let test_gf2_inverse_singular () =
-  let m = Coding.Gf2_matrix.create ~rows:2 ~cols:2 in
-  Alcotest.(check bool) "singular" true (Coding.Gf2_matrix.inverse m = None)
-
-let test_gf2_solve () =
-  let rng = Prob.Rng.create ~seed:10 in
-  for _ = 1 to 10 do
-    let m = Coding.Gf2_matrix.random_full_rank rng ~rows:5 ~cols:8 in
-    let x = Coding.Bitvec.random rng 8 in
-    let b = Coding.Gf2_matrix.mul_vec m x in
-    match Coding.Gf2_matrix.solve m b with
-    | None -> Alcotest.fail "consistent system must solve"
-    | Some x' -> check_bv "solution valid" b (Coding.Gf2_matrix.mul_vec m x')
-  done
-
-let test_gf2_solve_inconsistent () =
-  (* rows: [1 0], [1 0]; rhs (0, 1) is inconsistent *)
-  let m = Coding.Gf2_matrix.init ~rows:2 ~cols:2 (fun _ j -> j = 0) in
-  let b = bv "01" in
-  Alcotest.(check bool) "inconsistent" true (Coding.Gf2_matrix.solve m b = None)
-
-let test_gf2_transpose () =
-  let m = Coding.Gf2_matrix.init ~rows:2 ~cols:3 (fun i j -> i = 0 && j = 2) in
-  let t = Coding.Gf2_matrix.transpose m in
-  Alcotest.(check int) "rows" 3 (Coding.Gf2_matrix.rows t);
-  Alcotest.(check bool) "moved" true (Coding.Gf2_matrix.get t 2 0)
-
-(* ------------------------------------------------------------------ *)
-(* Linear_code                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_hamming_distance3 () =
-  let c = Coding.Linear_code.hamming_7_4 () in
-  Alcotest.(check int) "k" 4 (Coding.Linear_code.k c);
-  Alcotest.(check int) "n" 7 (Coding.Linear_code.n c);
-  Alcotest.(check int) "min distance" 3 (Coding.Linear_code.min_distance c)
-
-let test_hamming_corrects_single_error () =
-  let c = Coding.Linear_code.hamming_7_4 () in
-  let rng = Prob.Rng.create ~seed:123 in
-  for _ = 1 to 50 do
-    let msg = Coding.Bitvec.random rng 4 in
-    let cw = Coding.Linear_code.encode c msg in
-    let pos = Prob.Rng.int rng 7 in
-    let corrupted = Coding.Bitvec.copy cw in
-    Coding.Bitvec.set corrupted pos (not (Coding.Bitvec.get corrupted pos));
-    check_bv "corrected" msg (Coding.Linear_code.decode_nearest c corrupted)
-  done
-
-let test_repetition () =
-  let c = Coding.Linear_code.repetition 5 in
-  check_bv "encode 1" (bv "11111") (Coding.Linear_code.encode c (bv "1"));
-  check_bv "majority decode" (bv "1")
-    (Coding.Linear_code.decode_nearest c (bv "11010"))
-
-let test_decode_exact () =
-  let rng = Prob.Rng.create ~seed:77 in
-  let c = Coding.Linear_code.random rng ~k:5 ~n:10 in
-  let msg = Coding.Bitvec.random rng 5 in
-  let cw = Coding.Linear_code.encode c msg in
-  (match Coding.Linear_code.decode_exact c cw with
-  | Some m -> check_bv "recovered" msg m
-  | None -> Alcotest.fail "exact decode of clean codeword failed");
-  (* corrupting one bit of a distance >= 2 code word must not decode
-     exactly to a valid message-codeword pair *)
-  let corrupted = Coding.Bitvec.copy cw in
-  Coding.Bitvec.set corrupted 0 (not (Coding.Bitvec.get corrupted 0));
-  match Coding.Linear_code.decode_exact c corrupted with
-  | Some m ->
-    (* possible only if corrupted happens to be another codeword *)
-    Alcotest.(check bool) "decodes to different message" false
-      (Coding.Bitvec.equal m msg)
-  | None -> ()
-
-let test_systematic_prefix () =
-  let rng = Prob.Rng.create ~seed:31 in
-  let c = Coding.Linear_code.systematic_random rng ~k:4 ~n:9 in
-  let msg = bv "1011" in
-  let cw = Coding.Linear_code.encode c msg in
-  check_bv "systematic prefix" msg (Coding.Bitvec.sub cw ~pos:0 ~len:4)
-
-let test_code_rate () =
-  let c = Coding.Linear_code.hamming_7_4 () in
-  Alcotest.(check (float 1e-9)) "rate" (4. /. 7.) (Coding.Linear_code.rate c)
-
-(* ------------------------------------------------------------------ *)
 (* Crc                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -250,31 +128,9 @@ let prop_xor_relay_round_trip =
           ~expected_len:(Coding.Bitvec.length wb) in
       Coding.Bitvec.equal wa wa' && Coding.Bitvec.equal wb wb')
 
-let prop_encode_linear =
-  QCheck.Test.make ~count:100 ~name:"encoding is linear: E(u+v) = E(u)+E(v)"
-    QCheck.int (fun seed ->
-      let rng = Prob.Rng.create ~seed in
-      let c = Coding.Linear_code.random rng ~k:6 ~n:12 in
-      let u = Coding.Bitvec.random rng 6 and v = Coding.Bitvec.random rng 6 in
-      let lhs = Coding.Linear_code.encode c (Coding.Bitvec.xor u v) in
-      let rhs =
-        Coding.Bitvec.xor (Coding.Linear_code.encode c u)
-          (Coding.Linear_code.encode c v)
-      in
-      Coding.Bitvec.equal lhs rhs)
-
-let prop_rank_bounds =
-  QCheck.Test.make ~count:100 ~name:"0 <= rank <= min(rows, cols)"
-    QCheck.(triple int (int_range 1 8) (int_range 1 8))
-    (fun (seed, r, c) ->
-      let rng = Prob.Rng.create ~seed in
-      let m = Coding.Gf2_matrix.random rng ~rows:r ~cols:c in
-      let rk = Coding.Gf2_matrix.rank m in
-      rk >= 0 && rk <= min r c)
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_xor_relay_round_trip; prop_encode_linear; prop_rank_bounds ]
+    [ prop_xor_relay_round_trip ]
 
 let suites =
   [ ( "coding.bitvec",
@@ -288,24 +144,6 @@ let suites =
         Alcotest.test_case "bounds" `Quick test_bitvec_bounds;
         Alcotest.test_case "random deterministic" `Quick test_bitvec_random_deterministic;
       ] );
-    ( "coding.gf2_matrix",
-      [ Alcotest.test_case "identity" `Quick test_gf2_identity;
-        Alcotest.test_case "mul" `Quick test_gf2_mul;
-        Alcotest.test_case "rank deficient" `Quick test_gf2_rank_deficient;
-        Alcotest.test_case "inverse" `Quick test_gf2_inverse;
-        Alcotest.test_case "singular" `Quick test_gf2_inverse_singular;
-        Alcotest.test_case "solve" `Quick test_gf2_solve;
-        Alcotest.test_case "inconsistent" `Quick test_gf2_solve_inconsistent;
-        Alcotest.test_case "transpose" `Quick test_gf2_transpose;
-      ] );
-    ( "coding.linear_code",
-      [ Alcotest.test_case "hamming d=3" `Quick test_hamming_distance3;
-        Alcotest.test_case "hamming corrects 1 error" `Quick test_hamming_corrects_single_error;
-        Alcotest.test_case "repetition" `Quick test_repetition;
-        Alcotest.test_case "decode exact" `Quick test_decode_exact;
-        Alcotest.test_case "systematic prefix" `Quick test_systematic_prefix;
-        Alcotest.test_case "rate" `Quick test_code_rate;
-      ] );
     ( "coding.crc",
       [ Alcotest.test_case "detects bit flips" `Quick test_crc_detects_flip;
         Alcotest.test_case "stability" `Quick test_crc_stability;
@@ -316,242 +154,3 @@ let suites =
       ] );
     ("coding.properties", qcheck_cases);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Convolutional / Viterbi                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_conv_round_trip () =
-  let code = Coding.Convolutional.k3_rate_half () in
-  let rng = Prob.Rng.create ~seed:42 in
-  for _ = 1 to 30 do
-    let msg = Coding.Bitvec.random rng 40 in
-    let cw = Coding.Convolutional.encode code msg in
-    Alcotest.(check int) "codeword length" ((40 + 2) * 2)
-      (Coding.Bitvec.length cw);
-    check_bv "round trip" msg (Coding.Convolutional.decode code cw)
-  done
-
-let test_conv_known_vector () =
-  (* (7,5) code, input 1011 (+ 2 flush zeros): standard textbook vector *)
-  let code = Coding.Convolutional.k3_rate_half () in
-  let cw = Coding.Convolutional.encode code (bv "1011") in
-  (* derived by hand from the trellis: states 00->10->01->10->11->01->00 *)
-  Alcotest.(check int) "length" 12 (Coding.Bitvec.length cw);
-  check_bv "decodes back" (bv "1011") (Coding.Convolutional.decode code cw)
-
-let test_conv_corrects_errors () =
-  let code = Coding.Convolutional.k3_rate_half () in
-  let rng = Prob.Rng.create ~seed:9 in
-  for _ = 1 to 30 do
-    let msg = Coding.Bitvec.random rng 64 in
-    let cw = Coding.Convolutional.encode code msg in
-    (* two flips far apart: inside the free-distance budget *)
-    let bad = Coding.Bitvec.copy cw in
-    Coding.Bitvec.set bad 7 (not (Coding.Bitvec.get bad 7));
-    Coding.Bitvec.set bad 90 (not (Coding.Bitvec.get bad 90));
-    check_bv "corrected" msg (Coding.Convolutional.decode code bad)
-  done
-
-let test_conv_k7_ber_gain () =
-  (* K = 7 over BSC(0.02): the decoded BER must be well under the raw
-     channel BER *)
-  let code = Coding.Convolutional.k7_rate_half () in
-  let rng = Prob.Rng.create ~seed:5 in
-  let errors = ref 0 and bits = ref 0 in
-  for _ = 1 to 40 do
-    let msg = Coding.Bitvec.random rng 96 in
-    let noisy = Coding.Convolutional.encode code msg in
-    for i = 0 to Coding.Bitvec.length noisy - 1 do
-      if Prob.Rng.bernoulli rng ~p:0.02 then
-        Coding.Bitvec.set noisy i (not (Coding.Bitvec.get noisy i))
-    done;
-    errors := !errors
-              + Coding.Bitvec.hamming_distance msg
-                  (Coding.Convolutional.decode code noisy);
-    bits := !bits + 96
-  done;
-  let ber = float_of_int !errors /. float_of_int !bits in
-  Alcotest.(check bool) "ber << channel ber" true (ber < 0.002)
-
-let test_conv_rate () =
-  let code = Coding.Convolutional.k3_rate_half () in
-  Alcotest.(check (float 1e-9)) "rate with tail" (100. /. 204.)
-    (Coding.Convolutional.rate code ~message_bits:100);
-  Alcotest.(check int) "streams" 2 (Coding.Convolutional.num_streams code);
-  Alcotest.(check int) "constraint length" 3
-    (Coding.Convolutional.constraint_length code)
-
-let test_conv_invalid () =
-  Alcotest.check_raises "no generators"
-    (Invalid_argument "Convolutional.create: no generators") (fun () ->
-      ignore (Coding.Convolutional.create ~constraint_length:3 ~generators:[]));
-  Alcotest.check_raises "mask range"
-    (Invalid_argument "Convolutional.create: generator mask out of range")
-    (fun () ->
-      ignore (Coding.Convolutional.create ~constraint_length:3 ~generators:[ 8 ]));
-  let code = Coding.Convolutional.k3_rate_half () in
-  Alcotest.check_raises "bad length"
-    (Invalid_argument "Convolutional.decode: length not a multiple of the streams")
-    (fun () -> ignore (Coding.Convolutional.decode code (bv "101")))
-
-let prop_conv_linear =
-  QCheck.Test.make ~count:100
-    ~name:"convolutional encoding is linear (PNC property)" QCheck.int
-    (fun seed ->
-      let rng = Prob.Rng.create ~seed in
-      let code = Coding.Convolutional.k3_rate_half () in
-      let u = Coding.Bitvec.random rng 32 and v = Coding.Bitvec.random rng 32 in
-      Coding.Bitvec.equal
-        (Coding.Convolutional.encode code (Coding.Bitvec.xor u v))
-        (Coding.Bitvec.xor
-           (Coding.Convolutional.encode code u)
-           (Coding.Convolutional.encode code v)))
-
-let prop_conv_ml_matches_exhaustive =
-  QCheck.Test.make ~count:30
-    ~name:"Viterbi = exhaustive ML on short messages"
-    QCheck.(pair int (int_range 0 20))
-    (fun (seed, flips) ->
-      let rng = Prob.Rng.create ~seed in
-      let code = Coding.Convolutional.k3_rate_half () in
-      let len = 6 in
-      let msg = Coding.Bitvec.random rng len in
-      let noisy = Coding.Convolutional.encode code msg in
-      for _ = 1 to flips mod 5 do
-        let i = Prob.Rng.int rng (Coding.Bitvec.length noisy) in
-        Coding.Bitvec.set noisy i (not (Coding.Bitvec.get noisy i))
-      done;
-      let viterbi = Coding.Convolutional.decode code noisy in
-      (* exhaustive minimum-distance over all 2^len messages *)
-      let best = ref (Coding.Bitvec.create len) and best_d = ref max_int in
-      for m = 0 to (1 lsl len) - 1 do
-        let cand = Coding.Bitvec.of_int ~width:len m in
-        let d =
-          Coding.Bitvec.hamming_distance
-            (Coding.Convolutional.encode code cand)
-            noisy
-        in
-        if d < !best_d then begin
-          best := cand;
-          best_d := d
-        end
-      done;
-      (* metrics must agree (the argmin may differ on ties) *)
-      Coding.Bitvec.hamming_distance
-        (Coding.Convolutional.encode code viterbi)
-        noisy
-      = !best_d)
-
-let convolutional_cases =
-  [ Alcotest.test_case "round trip" `Quick test_conv_round_trip;
-    Alcotest.test_case "known vector" `Quick test_conv_known_vector;
-    Alcotest.test_case "corrects errors" `Quick test_conv_corrects_errors;
-    Alcotest.test_case "K=7 BER gain" `Quick test_conv_k7_ber_gain;
-    Alcotest.test_case "rate" `Quick test_conv_rate;
-    Alcotest.test_case "invalid" `Quick test_conv_invalid;
-  ]
-  @ List.map QCheck_alcotest.to_alcotest
-      [ prop_conv_linear; prop_conv_ml_matches_exhaustive ]
-
-let suites = suites @ [ ("coding.convolutional", convolutional_cases) ]
-
-(* ------------------------------------------------------------------ *)
-(* Binning (Slepian-Wolf / TDBC relay operation)                       *)
-(* ------------------------------------------------------------------ *)
-
-let erase_random rng w count =
-  (* side information with [count] random erasures *)
-  let n = Coding.Bitvec.length w in
-  let side = Array.init n (fun i -> Some (Coding.Bitvec.get w i)) in
-  let erased = ref 0 in
-  while !erased < count do
-    let i = Prob.Rng.int rng n in
-    if side.(i) <> None then begin
-      side.(i) <- None;
-      incr erased
-    end
-  done;
-  side
-
-let test_binning_recovers_erasures () =
-  let rng = Prob.Rng.create ~seed:61 in
-  let scheme = Coding.Binning.create rng ~message_bits:64 ~bin_bits:12 in
-  let failures = ref 0 in
-  for _ = 1 to 40 do
-    let w = Coding.Bitvec.random rng 64 in
-    let idx = Coding.Binning.bin scheme w in
-    (* 8 erasures vs a 12-bit bin: resolvable w.h.p. *)
-    let side = erase_random rng w 8 in
-    match Coding.Binning.decode scheme ~bin_index:idx ~side_info:side with
-    | Some w' ->
-      Alcotest.(check bool) "exact recovery" true (Coding.Bitvec.equal w w')
-    | None -> incr failures
-  done;
-  (* dependent-column failures are rare at this margin *)
-  Alcotest.(check bool) "few unresolvable draws" true (!failures <= 2)
-
-let test_binning_too_many_erasures () =
-  let rng = Prob.Rng.create ~seed:62 in
-  let scheme = Coding.Binning.create rng ~message_bits:32 ~bin_bits:6 in
-  let w = Coding.Bitvec.random rng 32 in
-  let idx = Coding.Binning.bin scheme w in
-  let side = erase_random rng w 10 in
-  Alcotest.(check bool) "unresolvable" true
-    (Coding.Binning.decode scheme ~bin_index:idx ~side_info:side = None)
-
-let test_binning_detects_inconsistency () =
-  let rng = Prob.Rng.create ~seed:63 in
-  let scheme = Coding.Binning.create rng ~message_bits:32 ~bin_bits:8 in
-  let w = Coding.Bitvec.random rng 32 in
-  let idx = Coding.Binning.bin scheme w in
-  (* no erasures but a flipped known bit: must be rejected *)
-  let side = Array.init 32 (fun i -> Some (Coding.Bitvec.get w i)) in
-  side.(3) <- Some (not (Coding.Bitvec.get w 3));
-  Alcotest.(check bool) "inconsistent side info rejected" true
-    (Coding.Binning.decode scheme ~bin_index:idx ~side_info:side = None)
-
-let test_binning_tdbc_pipeline () =
-  (* the full TDBC relay operation: relay broadcasts the XOR of the two
-     bin indices; b cancels bin(wb) and decodes wa against the direct
-     side information it overheard *)
-  let rng = Prob.Rng.create ~seed:64 in
-  let scheme = Coding.Binning.create rng ~message_bits:48 ~bin_bits:10 in
-  for _ = 1 to 20 do
-    let wa = Coding.Bitvec.random rng 48 in
-    let wb = Coding.Bitvec.random rng 48 in
-    let relay_word =
-      Coding.Binning.xor_bins scheme
-        (Coding.Binning.bin scheme wa)
-        (Coding.Binning.bin scheme wb)
-    in
-    (* b's view: the relay word, its own message, and side information
-       about wa with 6 erasures *)
-    let bin_wa = Coding.Binning.xor_bins scheme relay_word (Coding.Binning.bin scheme wb) in
-    let side = erase_random rng wa 6 in
-    match Coding.Binning.decode scheme ~bin_index:bin_wa ~side_info:side with
-    | Some w -> Alcotest.(check bool) "b recovers wa" true (Coding.Bitvec.equal w wa)
-    | None -> () (* rare dependent columns *)
-  done
-
-let prop_bin_linearity =
-  QCheck.Test.make ~count:100 ~name:"bin(u xor v) = bin u xor bin v"
-    QCheck.int (fun seed ->
-      let rng = Prob.Rng.create ~seed in
-      let scheme = Coding.Binning.create rng ~message_bits:24 ~bin_bits:8 in
-      let u = Coding.Bitvec.random rng 24 and v = Coding.Bitvec.random rng 24 in
-      Coding.Bitvec.equal
-        (Coding.Binning.bin scheme (Coding.Bitvec.xor u v))
-        (Coding.Binning.xor_bins scheme
-           (Coding.Binning.bin scheme u)
-           (Coding.Binning.bin scheme v)))
-
-let binning_cases =
-  [ Alcotest.test_case "recovers erasures" `Quick test_binning_recovers_erasures;
-    Alcotest.test_case "too many erasures" `Quick test_binning_too_many_erasures;
-    Alcotest.test_case "detects inconsistency" `Quick test_binning_detects_inconsistency;
-    Alcotest.test_case "TDBC pipeline" `Quick test_binning_tdbc_pipeline;
-  ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_bin_linearity ]
-
-let suites = suites @ [ ("coding.binning", binning_cases) ]

@@ -163,32 +163,6 @@ let test_discrete_tdbc_matches_formula () =
   Alcotest.(check (float 1e-6)) "sum rate = 1 - H(p)" c
     (Bidir.Rate_region.sum (Bidir.Rate_region.max_sum_rate b))
 
-let test_pnc_linearity_through_stack () =
-  (* the property the coded_exchange example relies on: a noisy XOR MAC
-     observation of two convolutional codewords decodes to the XOR of
-     the messages when the noise is light *)
-  let code = Coding.Convolutional.k3_rate_half () in
-  let rng = Prob.Rng.create ~seed:404 in
-  for _ = 1 to 20 do
-    let wa = Coding.Bitvec.random rng 48 in
-    let wb = Coding.Bitvec.random rng 48 in
-    let superposed =
-      Coding.Bitvec.xor
-        (Coding.Convolutional.encode code wa)
-        (Coding.Convolutional.encode code wb)
-    in
-    (* one channel flip *)
-    let i = Prob.Rng.int rng (Coding.Bitvec.length superposed) in
-    Coding.Bitvec.set superposed i (not (Coding.Bitvec.get superposed i));
-    let wr = Coding.Convolutional.decode code superposed in
-    Alcotest.(check bool) "relay decodes the XOR" true
-      (Coding.Bitvec.equal wr (Coding.Bitvec.xor wa wb))
-  done
-
-(* ------------------------------------------------------------------ *)
-(* ARQ <-> outage probability                                          *)
-(* ------------------------------------------------------------------ *)
-
 let test_arq_attempts_match_outage () =
   (* mean ARQ attempts for a delivered pair ~ 1 / (1 - p_out) where
      p_out is the analytic pair-outage probability of the fixed rates *)
@@ -245,7 +219,6 @@ let suites =
         Alcotest.test_case "csv round trip" `Quick test_csv_round_trip_values;
         Alcotest.test_case "discrete TDBC closed form" `Quick
           test_discrete_tdbc_matches_formula;
-        Alcotest.test_case "PNC linearity" `Quick test_pnc_linearity_through_stack;
         Alcotest.test_case "ARQ attempts ~ geometric" `Slow
           test_arq_attempts_match_outage;
       ]

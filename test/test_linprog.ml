@@ -152,108 +152,113 @@ let test_phase_duration_shape () =
   check_float "d1" (2. /. 3.) s.Linprog.Simplex.x.(2)
 
 (* ------------------------------------------------------------------ *)
-(* Model layer                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_model_basic () =
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  let y = Linprog.Model.variable m "y" in
-  Linprog.Model.add m ~name:"cap_x" [ (x, 1.) ] `Le 4.;
-  Linprog.Model.add m ~name:"cap_y" [ (y, 2.) ] `Le 12.;
-  Linprog.Model.add m ~name:"mix" [ (x, 3.); (y, 2.) ] `Le 18.;
-  Linprog.Model.objective m [ (x, 3.); (y, 5.) ];
-  (match Linprog.Model.solve m with
-  | Ok sol ->
-    check_float "objective" 36. (Linprog.Model.objective_value sol);
-    check_float "x" 2. (Linprog.Model.value sol x);
-    check_float "y" 6. (Linprog.Model.value sol y)
-  | Error _ -> Alcotest.fail "expected optimal");
-  Alcotest.(check int) "vars" 2 (Linprog.Model.num_vars m);
-  Alcotest.(check int) "constraints" 3 (Linprog.Model.num_constraints m);
-  Alcotest.(check string) "name" "x" (Linprog.Model.var_name m x)
-
-let test_model_duplicate_name () =
-  let m = Linprog.Model.create () in
-  let _ = Linprog.Model.variable m "x" in
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Model.variable: duplicate variable name x") (fun () ->
-      ignore (Linprog.Model.variable m "x"))
-
-let test_model_repeated_terms () =
-  (* x + x <= 2 must mean 2x <= 2 *)
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  Linprog.Model.add m ~name:"double" [ (x, 1.); (x, 1.) ] `Le 2.;
-  Linprog.Model.objective m [ (x, 1.) ];
-  match Linprog.Model.solve m with
-  | Ok sol -> check_float "x" 1. (Linprog.Model.value sol x)
-  | Error _ -> Alcotest.fail "expected optimal"
-
-let test_model_infeasible () =
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  Linprog.Model.add m ~name:"lo" [ (x, 1.) ] `Ge 2.;
-  Linprog.Model.add m ~name:"hi" [ (x, 1.) ] `Le 1.;
-  Linprog.Model.objective m [ (x, 1.) ];
-  match Linprog.Model.solve m with
-  | Error `Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-let test_model_solve_min () =
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  let y = Linprog.Model.variable m "y" in
-  Linprog.Model.add m ~name:"cover" [ (x, 1.); (y, 1.) ] `Ge 4.;
-  Linprog.Model.add m ~name:"cap_x" [ (x, 1.) ] `Le 3.;
-  Linprog.Model.add m ~name:"cap_y" [ (y, 1.) ] `Le 3.;
-  Linprog.Model.objective m [ (x, 1.); (y, 2.) ];
-  match Linprog.Model.solve_min m with
-  | Ok sol -> check_float "objective" 5. (Linprog.Model.objective_value sol)
-  | Error _ -> Alcotest.fail "expected optimal"
-
-(* ------------------------------------------------------------------ *)
 (* Properties: cross-check against brute-force vertex enumeration      *)
 (* ------------------------------------------------------------------ *)
 
-(* For 2-variable LPs with <= constraints (plus x,y >= 0 and generous
-   box bounds to keep things bounded), enumerate all candidate vertices
-   as intersections of constraint pairs and take the best feasible one. *)
-let brute_force_2d c constrs =
-  let lines =
-    (* each constraint as (a, b, rhs): a x + b y <= rhs *)
-    List.map
-      (fun ct ->
-        (ct.Linprog.Simplex.coeffs.(0), ct.Linprog.Simplex.coeffs.(1),
-         ct.Linprog.Simplex.rhs))
-      constrs
-    @ [ (-1., 0., 0.); (0., -1., 0.) ]
-  in
-  let feasible (x, y) =
-    x >= -1e-7 && y >= -1e-7
-    && List.for_all (fun (a, b, r) -> (a *. x) +. (b *. y) <= r +. 1e-6) lines
-  in
-  let candidates = ref [] in
-  let n = List.length lines in
-  let arr = Array.of_list lines in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a1, b1, r1 = arr.(i) and a2, b2, r2 = arr.(j) in
-      let det = (a1 *. b2) -. (a2 *. b1) in
-      if abs_float det > 1e-9 then begin
-        let x = ((r1 *. b2) -. (r2 *. b1)) /. det in
-        let y = ((a1 *. r2) -. (a2 *. r1)) /. det in
-        if feasible (x, y) then candidates := (x, y) :: !candidates
+(* The oracle: brute-force vertex enumeration, sharing no code with
+   [Linprog]. A bounded feasible LP over x >= 0 attains its optimum at a
+   vertex, and every vertex is the unique solution of [nvars] linearly
+   independent active constraints: all equality rows plus a choice of
+   Le rows and bounds x_j >= 0. Enumerate every such choice, solve it
+   with the elimination below, keep the feasible points, and return the
+   best objective ([None] when no vertex is feasible). The caller must
+   know the LP is bounded: an unbounded one still reports its best
+   vertex. *)
+
+(* Gaussian elimination with partial pivoting on a fresh n x n system;
+   [None] when the system is (numerically) singular. *)
+let solve_dense a b =
+  let n = Array.length b in
+  let a = Array.map Array.copy a and b = Array.copy b in
+  let singular = ref false in
+  for k = 0 to n - 1 do
+    if not !singular then begin
+      let p = ref k in
+      for i = k + 1 to n - 1 do
+        if abs_float a.(i).(k) > abs_float a.(!p).(k) then p := i
+      done;
+      if abs_float a.(!p).(k) < 1e-10 then singular := true
+      else begin
+        let t = a.(k) in
+        a.(k) <- a.(!p);
+        a.(!p) <- t;
+        let t = b.(k) in
+        b.(k) <- b.(!p);
+        b.(!p) <- t;
+        for i = k + 1 to n - 1 do
+          let f = a.(i).(k) /. a.(k).(k) in
+          for j = k to n - 1 do
+            a.(i).(j) <- a.(i).(j) -. (f *. a.(k).(j))
+          done;
+          b.(i) <- b.(i) -. (f *. b.(k))
+        done
       end
-    done
+    end
   done;
-  match !candidates with
-  | [] -> None
-  | pts ->
-    Some
-      (List.fold_left
-         (fun acc (x, y) -> Float.max acc ((c.(0) *. x) +. (c.(1) *. y)))
-         neg_infinity pts)
+  if !singular then None
+  else begin
+    let x = Array.make n 0. in
+    for i = n - 1 downto 0 do
+      let acc = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (a.(i).(j) *. x.(j))
+      done;
+      x.(i) <- !acc /. a.(i).(i)
+    done;
+    Some x
+  end
+
+let brute_force ~nvars c constrs =
+  let dot a x =
+    let acc = ref 0. in
+    Array.iteri (fun j aj -> acc := !acc +. (aj *. x.(j))) a;
+    !acc
+  in
+  (* Ge rows enter as negated Le rows *)
+  let eqs, les =
+    List.partition_map
+      (fun (ct : Linprog.Simplex.constr) ->
+        match ct.relation with
+        | Linprog.Simplex.Eq -> Left (ct.coeffs, ct.rhs)
+        | Linprog.Simplex.Le -> Right (ct.coeffs, ct.rhs)
+        | Linprog.Simplex.Ge ->
+          Right (Array.map Float.neg ct.coeffs, -.ct.rhs))
+      constrs
+  in
+  (* x_j >= 0 as the active row e_j . x = 0 *)
+  let bounds =
+    List.init nvars (fun j ->
+        (Array.init nvars (fun i -> if i = j then 1. else 0.), 0.))
+  in
+  let tol r = 1e-9 *. (1. +. abs_float r) in
+  let feasible x =
+    Array.for_all (fun xj -> xj >= -1e-9) x
+    && List.for_all (fun (a, r) -> dot a x <= r +. tol r) les
+    && List.for_all (fun (a, r) -> abs_float (dot a x -. r) <= tol r) eqs
+  in
+  let best = ref None in
+  let consider active =
+    let a = Array.of_list (List.map fst active)
+    and b = Array.of_list (List.map snd active) in
+    match solve_dense a b with
+    | Some x when feasible x ->
+      let v = dot c x in
+      best := Some (match !best with Some w -> Float.max v w | None -> v)
+    | Some _ | None -> ()
+  in
+  (* every way to pick [k] active rows from [pool], in order *)
+  let rec choose k pool acc =
+    if k = 0 then consider (eqs @ List.rev acc)
+    else
+      match pool with
+      | [] -> ()
+      | r :: rest ->
+        choose (k - 1) rest (r :: acc);
+        if List.length rest >= k then choose k rest acc
+  in
+  let k = nvars - List.length eqs in
+  if k >= 0 then choose k (les @ bounds) [];
+  !best
 
 let lp_2d_gen =
   (* random bounded-feasible 2-D LP: positive coefficients guarantee
@@ -272,7 +277,7 @@ let prop_simplex_matches_brute_force =
         List.map (fun (a, b, r) -> c_ [| a; b |] le r) rows
       in
       let c = [| c1; c2 |] in
-      match (solve_max c constrs, brute_force_2d c constrs) with
+      match (solve_max c constrs, brute_force ~nvars:2 c constrs) with
       | Linprog.Simplex.Optimal s, Some best ->
         abs_float (s.Linprog.Simplex.objective -. best) < 1e-5
       | Linprog.Simplex.Optimal _, None -> false
@@ -606,6 +611,65 @@ let test_reoptimize_into_zero_alloc () =
     (Printf.sprintf "%.0f bytes allocated across %d warm solves" delta n)
     true (delta < 32.)
 
+(* ------------------------------------------------------------------ *)
+(* Warm solver vs the vertex-enumeration oracle on production LPs      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random Gaussian bound systems in the exact shape
+   [Rate_region.lp_constraints] hands the warm solver: Ra, Rb and one
+   duration per phase (2-4 phases), the duration simplex as the single
+   Eq row, and one Le row per bound term. Degenerate channels are drawn
+   on purpose: a zero gain collapses terms to Ra <= 0, equal gains make
+   cuts coincide, and every objective sweep includes the weights
+   parallel to the region's faces ((1,1) along the sum-rate face,
+   (1,0) and (0,1) along the single-user ones). *)
+let gaussian_lp_gen =
+  let open QCheck.Gen in
+  let* shared = float_range 0.01 10. in
+  let gain =
+    frequency [ (1, return 0.); (1, return shared); (3, float_range 0.01 10.) ]
+  in
+  let* g_ab = gain and* g_ar = gain and* g_br = gain in
+  let* power_db = float_range (-10.) 30. in
+  let* protocol = oneofl Bidir.Protocol.all in
+  let* kind = oneofl [ Bidir.Bound.Inner; Bidir.Bound.Outer ] in
+  let+ weights =
+    list_size (int_range 0 4) (pair (float_range 0. 1.) (float_range 0. 1.))
+  in
+  let scenario =
+    Bidir.Gaussian.scenario ~power_db
+      ~gains:(Channel.Gains.make ~g_ab ~g_ar ~g_br)
+  in
+  ( Bidir.Gaussian.bounds protocol kind scenario,
+    [ (1., 1.); (1., 0.); (0., 1.) ] @ weights )
+
+let gaussian_lp_arb =
+  QCheck.make gaussian_lp_gen ~print:(fun ((b : Bidir.Bound.t), ws) ->
+      Format.asprintf "%a@.weights %s" Bidir.Bound.pp b
+        (String.concat " "
+           (List.map (fun (wa, wb) -> Printf.sprintf "(%g,%g)" wa wb) ws)))
+
+let prop_reoptimize_into_matches_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"Gaussian-bound LPs: warm reoptimize_into = vertex enumeration"
+    gaussian_lp_arb (fun (b, weights) ->
+      let nvars, constrs = Bidir.Rate_region.lp_constraints b in
+      let solver = Linprog.Solver.create ~nvars ~constrs in
+      let x = Array.make (nvars + 1) 0. in
+      List.for_all
+        (fun (wa, wb) ->
+          let c = Array.make nvars 0. in
+          c.(0) <- wa;
+          c.(1) <- wb;
+          match
+            ( Linprog.Solver.reoptimize_into solver ~c ~x,
+              brute_force ~nvars c constrs )
+          with
+          | Linprog.Solver.Optimal, Some best ->
+            abs_float (x.(nvars) -. best) <= 1e-7 *. (1. +. abs_float best)
+          | _ -> false)
+        weights)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_simplex_matches_brute_force;
@@ -619,6 +683,7 @@ let qcheck_cases =
       prop_solver_rebuild_matches_fresh;
       prop_reoptimize_into_matches_simplex;
       prop_reoptimize_into_matches_reoptimize;
+      prop_reoptimize_into_matches_oracle;
     ]
 
 let suites =
@@ -635,13 +700,6 @@ let suites =
         Alcotest.test_case "feasibility probe" `Quick test_feasible;
         Alcotest.test_case "klee-minty 3" `Quick test_klee_minty_3;
         Alcotest.test_case "phase-duration LP shape" `Quick test_phase_duration_shape;
-      ] );
-    ( "linprog.model",
-      [ Alcotest.test_case "basic" `Quick test_model_basic;
-        Alcotest.test_case "duplicate name" `Quick test_model_duplicate_name;
-        Alcotest.test_case "repeated terms" `Quick test_model_repeated_terms;
-        Alcotest.test_case "infeasible" `Quick test_model_infeasible;
-        Alcotest.test_case "solve min" `Quick test_model_solve_min;
       ] );
     ( "linprog.solver",
       [ Alcotest.test_case "120-system basis-carry stress" `Quick

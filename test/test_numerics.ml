@@ -62,38 +62,6 @@ let test_fold_range () =
     (Numerics.Float_utils.fold_range 10 ~init:0 ~f:( + ))
 
 (* ------------------------------------------------------------------ *)
-(* Special                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_erf_values () =
-  check_float ~eps:1e-6 "erf 0" 0. (Numerics.Special.erf 0.);
-  check_float ~eps:1e-6 "erf 1" 0.8427007929 (Numerics.Special.erf 1.);
-  check_float ~eps:1e-6 "erf -1" (-0.8427007929) (Numerics.Special.erf (-1.));
-  check_float ~eps:1e-6 "erf 2" 0.9953222650 (Numerics.Special.erf 2.)
-
-let test_q_function () =
-  check_float ~eps:1e-6 "Q(0)" 0.5 (Numerics.Special.q_function 0.);
-  check_float ~eps:1e-6 "Q(1.644853)" 0.05
-    (Numerics.Special.q_function 1.6448536269);
-  check_float ~eps:1e-7 "Q(3)" 0.0013498980
-    (Numerics.Special.q_function 3.)
-
-let test_inv_q () =
-  List.iter
-    (fun p ->
-      check_float ~eps:1e-6 "inv_q round trip" p
-        (Numerics.Special.q_function (Numerics.Special.inv_q p)))
-    [ 0.01; 0.05; 0.3; 0.5; 0.9; 0.99 ]
-
-let test_gaussian_cdf_symmetry () =
-  List.iter
-    (fun x ->
-      check_float ~eps:1e-7 "cdf(-x) = 1 - cdf(x)"
-        (1. -. Numerics.Special.gaussian_cdf x)
-        (Numerics.Special.gaussian_cdf (-.x)))
-    [ 0.3; 1.; 2.5 ]
-
-(* ------------------------------------------------------------------ *)
 (* Root                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -124,28 +92,6 @@ let test_bisect_bad_bracket () =
   Alcotest.check_raises "no bracket"
     (Invalid_argument "Root.bisect: endpoints do not bracket a root")
     (fun () -> ignore (Numerics.Root.bisect ~f:(fun x -> x +. 10.) 0. 1.))
-
-(* ------------------------------------------------------------------ *)
-(* Optimize1d                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_golden_max () =
-  let x, v =
-    Numerics.Optimize1d.golden_max ~f:(fun x -> -.((x -. 0.3) ** 2.)) 0. 1.
-  in
-  check_float ~eps:1e-6 "argmax" 0.3 x;
-  check_float ~eps:1e-9 "max" 0. v
-
-let test_golden_min () =
-  let x, v = Numerics.Optimize1d.golden_min ~f:(fun x -> (x -. 2.) ** 2.) 0. 5. in
-  check_float ~eps:1e-6 "argmin" 2. x;
-  check_float ~eps:1e-9 "min" 0. v
-
-let test_grid_max_multimodal () =
-  (* two bumps; the global maximum is the right one *)
-  let f x = exp (-.((x -. 0.2) ** 2.) /. 0.001) +. (2. *. exp (-.((x -. 0.8) ** 2.) /. 0.001)) in
-  let x, _ = Numerics.Optimize1d.grid_max ~lo:0. ~hi:1. ~samples:101 f in
-  check_float ~eps:1e-4 "global argmax" 0.8 x
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -252,59 +198,6 @@ let test_distance_to_boundary () =
     (Numerics.Polygon.distance_to_boundary square (v 3. 1.))
 
 (* ------------------------------------------------------------------ *)
-(* Interp                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_interp () =
-  let f = Numerics.Interp.of_samples [ (0., 0.); (1., 2.); (2., 0.) ] in
-  check_float "node" 2. (Numerics.Interp.eval f 1.);
-  check_float "between" 1. (Numerics.Interp.eval f 0.5);
-  check_float "extrapolate" (-2.) (Numerics.Interp.eval f 3.)
-
-let test_tabulate () =
-  let f = Numerics.Interp.tabulate ~f:(fun x -> x *. x) ~lo:0. ~hi:2. ~samples:200 in
-  check_float ~eps:1e-3 "x^2 at 1.37" (1.37 ** 2.) (Numerics.Interp.eval f 1.37)
-
-(* ------------------------------------------------------------------ *)
-(* Matrix                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_matrix_solve () =
-  let a = Numerics.Matrix.of_rows [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  match Numerics.Matrix.solve a [| 5.; 10. |] with
-  | None -> Alcotest.fail "unexpected singular"
-  | Some x ->
-    check_float ~eps:1e-9 "x0" 1. x.(0);
-    check_float ~eps:1e-9 "x1" 3. x.(1)
-
-let test_matrix_singular () =
-  let a = Numerics.Matrix.of_rows [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.(check bool) "singular" true (Numerics.Matrix.solve a [| 1.; 2. |] = None)
-
-let test_matrix_mul_identity () =
-  let a = Numerics.Matrix.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let i = Numerics.Matrix.identity 2 in
-  let p = Numerics.Matrix.mul a i in
-  check_float "1,1" 4. (Numerics.Matrix.get p 1 1);
-  check_float "0,1" 2. (Numerics.Matrix.get p 0 1)
-
-(* ------------------------------------------------------------------ *)
-(* Integrate                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_simpson () =
-  let v = Numerics.Integrate.simpson ~f:sin ~lo:0. ~hi:Float.pi ~n:100 in
-  check_float ~eps:1e-6 "int sin" 2. v
-
-let test_adaptive () =
-  let v = Numerics.Integrate.adaptive_simpson ~lo:0. ~hi:10. (fun x -> exp (-.x)) in
-  check_float ~eps:1e-8 "int exp" (1. -. exp (-10.)) v
-
-let test_trapezoid () =
-  let v = Numerics.Integrate.trapezoid ~f:(fun x -> x) ~lo:0. ~hi:1. ~n:10 in
-  check_float ~eps:1e-12 "linear exact" 0.5 v
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -384,12 +277,6 @@ let prop_brent_finds_root =
       let r = Numerics.Root.brent ~f 0. 10. in
       abs_float (f r) < 1e-6)
 
-let prop_erf_odd =
-  QCheck.Test.make ~count:100 ~name:"erf is odd"
-    QCheck.(float_range (-4.) 4.)
-    (fun x ->
-      abs_float (Numerics.Special.erf x +. Numerics.Special.erf (-.x)) < 1e-6)
-
 let prop_summarize_bounds =
   QCheck.Test.make ~count:100 ~name:"min <= mean <= max"
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-50.) 50.))
@@ -407,7 +294,6 @@ let qcheck_cases =
       prop_quantile_monotone;
       prop_polygon_orientation_invariant;
       prop_brent_finds_root;
-      prop_erf_odd;
       prop_summarize_bounds;
     ]
 
@@ -424,23 +310,12 @@ let suites =
         Alcotest.test_case "max_by" `Quick test_max_by;
         Alcotest.test_case "fold_range" `Quick test_fold_range;
       ] );
-    ( "numerics.special",
-      [ Alcotest.test_case "erf values" `Quick test_erf_values;
-        Alcotest.test_case "q function" `Quick test_q_function;
-        Alcotest.test_case "inverse q" `Quick test_inv_q;
-        Alcotest.test_case "cdf symmetry" `Quick test_gaussian_cdf_symmetry;
-      ] );
     ( "numerics.root",
       [ Alcotest.test_case "bisect" `Quick test_bisect;
         Alcotest.test_case "brent" `Quick test_brent;
         Alcotest.test_case "brent linear" `Quick test_brent_linear;
         Alcotest.test_case "crossings" `Quick test_crossings;
         Alcotest.test_case "bad bracket" `Quick test_bisect_bad_bracket;
-      ] );
-    ( "numerics.optimize1d",
-      [ Alcotest.test_case "golden max" `Quick test_golden_max;
-        Alcotest.test_case "golden min" `Quick test_golden_min;
-        Alcotest.test_case "grid max multimodal" `Quick test_grid_max_multimodal;
       ] );
     ( "numerics.stats",
       [ Alcotest.test_case "summarize" `Quick test_summarize;
@@ -459,20 +334,6 @@ let suites =
           test_polygon_contains_clockwise;
         Alcotest.test_case "down closure" `Quick test_down_closure;
         Alcotest.test_case "distance to boundary" `Quick test_distance_to_boundary;
-      ] );
-    ( "numerics.interp",
-      [ Alcotest.test_case "interp" `Quick test_interp;
-        Alcotest.test_case "tabulate" `Quick test_tabulate;
-      ] );
-    ( "numerics.matrix",
-      [ Alcotest.test_case "solve" `Quick test_matrix_solve;
-        Alcotest.test_case "singular" `Quick test_matrix_singular;
-        Alcotest.test_case "mul identity" `Quick test_matrix_mul_identity;
-      ] );
-    ( "numerics.integrate",
-      [ Alcotest.test_case "simpson" `Quick test_simpson;
-        Alcotest.test_case "adaptive" `Quick test_adaptive;
-        Alcotest.test_case "trapezoid" `Quick test_trapezoid;
       ] );
     ("numerics.properties", qcheck_cases);
   ]

@@ -84,6 +84,24 @@ let test_http_incomplete_and_invalid () =
   | Http.Invalid _ -> ()
   | _ -> Alcotest.fail "oversized body should be Invalid"
 
+let test_http_content_length_digits () =
+  let post len =
+    Printf.sprintf "POST /x HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s" len
+      (String.make 32 'x')
+  in
+  List.iter
+    (fun len ->
+      match Http.parse (post len) with
+      | Http.Invalid _ -> ()
+      | _ -> Alcotest.failf "Content-Length %S should be Invalid" len)
+    [ "0x10"; "0b11"; "0o7"; "1_0"; "+5"; "-1"; ""; "1 0"; "1e3";
+      "9999999999999999999" ];
+  match Http.parse (post "016") with
+  | Http.Complete (r, _) ->
+    Alcotest.(check int) "leading zero is still decimal" 16
+      (String.length r.Http.body)
+  | _ -> Alcotest.fail "decimal Content-Length should parse"
+
 let test_http_url_decode () =
   Alcotest.(check string)
     "percent and plus" "a b+c%" (Http.url_decode "a%20b%2Bc%25");
@@ -362,6 +380,8 @@ let suites =
         Alcotest.test_case "url decoding" `Quick test_http_url_decode;
         Alcotest.test_case "response serialization" `Quick
           test_http_response_roundtrip;
+        Alcotest.test_case "content-length digits" `Quick
+          test_http_content_length_digits;
       ] );
     ( "serve.query",
       [ Alcotest.test_case "params/json round-trip" `Quick
