@@ -5,3 +5,34 @@ let bsc p =
 let bec e =
   if e < 0. || e > 1. then invalid_arg "Channels.bec: e outside [0,1]";
   Dmc.create [| [| 1. -. e; 0.; e |]; [| 0.; 1. -. e; e |] |]
+
+let z_channel p =
+  if p < 0. || p > 1. then invalid_arg "Channels.z_channel: p outside [0,1]";
+  Dmc.create [| [| 1.; 0. |]; [| p; 1. -. p |] |]
+
+let noiseless n =
+  Dmc.create
+    (Array.init n (fun x -> Array.init n (fun y -> if x = y then 1. else 0.)))
+
+let binary_input_awgn ~snr ~levels =
+  if snr <= 0. then invalid_arg "Channels.binary_input_awgn: snr <= 0";
+  if levels < 2 then invalid_arg "Channels.binary_input_awgn: levels < 2";
+  (* BPSK amplitudes +-sqrt(snr) in unit-variance noise *)
+  let a = sqrt snr in
+  let lo = -.a -. 5. and hi = a +. 5. in
+  let width = (hi -. lo) /. float_of_int levels in
+  let cell_prob mean k =
+    (* P(Y in bin k | X with mean), bins clipped to capture the tails *)
+    let left = lo +. (float_of_int k *. width) in
+    let right = left +. width in
+    let cdf x = Numerics.Special.gaussian_cdf (x -. mean) in
+    let pl = if k = 0 then 0. else cdf left in
+    let pr = if k = levels - 1 then 1. else cdf right in
+    Float.max 0. (pr -. pl)
+  in
+  Dmc.create
+    [| Array.init levels (cell_prob a); Array.init levels (cell_prob (-.a)) |]
+
+let bsc_of_snr ~snr =
+  if snr <= 0. then invalid_arg "Channels.bsc_of_snr: snr <= 0";
+  bsc (Numerics.Special.q_function (sqrt snr))

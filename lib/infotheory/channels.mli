@@ -6,3 +6,22 @@ val bsc : float -> Dmc.t
 val bec : float -> Dmc.t
 (** Binary erasure channel with erasure probability [e]; output symbol 2
     is the erasure. *)
+
+val z_channel : float -> Dmc.t
+(** Z-channel: 0 is received perfectly, 1 flips to 0 with probability [p]. *)
+
+val noiseless : int -> Dmc.t
+(** Identity channel over an alphabet of the given size. *)
+
+val binary_input_awgn : snr:float -> levels:int -> Dmc.t
+(** BPSK (amplitudes [+-sqrt snr]) in real unit-variance Gaussian noise,
+    output quantised to [levels] uniform bins; tail bins absorb the rest
+    of the line. [snr] is the per-real-dimension SNR [a^2 / sigma^2].
+    Capacity converges to the true BIAWGN capacity (which is upper
+    bounded by the real-AWGN capacity [0.5 log2 (1 + snr)]) as [levels]
+    grows. *)
+
+val bsc_of_snr : snr:float -> Dmc.t
+(** Hard-decision version of {!binary_input_awgn}: a BSC with crossover
+    [Q(sqrt snr)] (same normalisation, amplitude [sqrt snr] in unit
+    noise). Always worse than the soft-output channel. *)

@@ -88,12 +88,14 @@ type t = {
   (* solve-to-solve state *)
   mutable status : status;
   mutable pending_pivots : int;    (* pivots since the last recorded solve *)
+  mutable recorded_pivots : int;   (* pivots of all recorded solves *)
   mutable warm_next : bool;        (* next solve starts from a prior basis *)
   mutable skip1_next : bool;       (* ... and phase 1 was skipped for it *)
   stall_limit : int;
 }
 
 let nvars t = t.nvars
+let pivots t = t.recorded_pivots
 
 (* ------------------------------------------------------------------ *)
 (* Tableau construction                                                *)
@@ -255,6 +257,7 @@ let create_impl ~nvars ~constrs =
       row_done = Array.make m false;
       status = Sat;
       pending_pivots = 0;
+      recorded_pivots = 0;
       warm_next = false;
       skip1_next = false;
       stall_limit = 20;
@@ -368,6 +371,7 @@ let rebuild_impl t ~constrs =
 let record_solve t =
   Telemetry.Metrics.incr solves_counter;
   Telemetry.Metrics.add pivots_counter t.pending_pivots;
+  t.recorded_pivots <- t.recorded_pivots + t.pending_pivots;
   Telemetry.Metrics.observe_int pivots_per_solve t.pending_pivots;
   if t.warm_next then begin
     Telemetry.Metrics.incr warm_solves_counter;

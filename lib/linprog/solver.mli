@@ -51,6 +51,11 @@ val create : nvars:int -> constrs:Simplex.constr list -> t
 
 val nvars : t -> int
 
+val pivots : t -> int
+(** Pivots this instance has added to [linprog.pivots] so far, over all
+    its recorded solves. Unlike a before/after reading of that
+    process-wide counter, it cannot see solves on other domains. *)
+
 val reoptimize : t -> c:float array -> Simplex.outcome
 (** [reoptimize t ~c] maximises [c . x] over the currently loaded
     system, warm-starting from the basis of the previous solve (or the

@@ -13,6 +13,11 @@ let contains ~needle haystack =
 (* Numerics odds and ends                                              *)
 (* ------------------------------------------------------------------ *)
 
+let test_simpson_odd_panels () =
+  (* odd n is rounded up internally; result still converges *)
+  let v = Numerics.Integrate.simpson ~f:(fun x -> x *. x) ~lo:0. ~hi:1. ~n:7 in
+  check_float ~eps:1e-6 "x^2 integral" (1. /. 3.) v
+
 let test_histogram_single_value () =
   let h = Numerics.Stats.histogram ~bins:4 [| 2.; 2.; 2. |] in
   let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
@@ -21,6 +26,13 @@ let test_histogram_single_value () =
 let test_vec2_pp () =
   Alcotest.(check string) "pp" "(1.5, -2)"
     (Format.asprintf "%a" Numerics.Vec2.pp (Numerics.Vec2.make 1.5 (-2.)))
+
+let test_gaussian_pdf_normalises () =
+  let mass =
+    Numerics.Integrate.adaptive_simpson ~lo:(-8.) ~hi:8.
+      Numerics.Special.gaussian_pdf
+  in
+  check_float ~eps:1e-6 "unit mass" 1. mass
 
 let test_root_zero_endpoint () =
   check_float "f(lo) = 0 returns lo" 2.
@@ -52,8 +64,7 @@ let test_pmf_pp () =
     (contains ~needle:"0.7500" out && contains ~needle:"0.2500" out)
 
 let test_z_channel_matrix () =
-  (* Z-channel: 0 is received perfectly, 1 flips to 0 w.p. 0.3 *)
-  let z = Infotheory.Dmc.create [| [| 1.; 0. |]; [| 0.3; 0.7 |] |] in
+  let z = Infotheory.Channels.z_channel 0.3 in
   check_float "0 stays 0" 1. (Infotheory.Dmc.transition z 0 0);
   check_float "1 flips w.p. 0.3" 0.3 (Infotheory.Dmc.transition z 1 0);
   (* matrix returns a copy: mutating it must not affect the channel *)
@@ -61,11 +72,16 @@ let test_z_channel_matrix () =
   m.(0).(0) <- 0.;
   check_float "defensive copy" 1. (Infotheory.Dmc.transition z 0 0)
 
+let test_blahut_iterations_reported () =
+  let r = Infotheory.Blahut.capacity (Infotheory.Channels.z_channel 0.5) in
+  Alcotest.(check bool) "iterated at least once" true
+    (r.Infotheory.Blahut.iterations >= 1)
+
 let test_mac_adder_of_dmc_pair () =
   (* deterministic AND-combining through a noiseless channel *)
   let mac =
     Infotheory.Mac.of_dmc_pair ~combine:(fun a b -> a land b)
-      (Infotheory.Dmc.create [| [| 1.; 0. |]; [| 0.; 1. |] |])
+      (Infotheory.Channels.noiseless 2)
   in
   let u = Infotheory.Pmf.uniform 2 in
   let t = Infotheory.Mac.rate_terms mac u u in
@@ -210,8 +226,10 @@ let test_runner_phase_attribution () =
 
 let suites =
   [ ( "coverage.numerics",
-      [ Alcotest.test_case "histogram single value" `Quick test_histogram_single_value;
+      [ Alcotest.test_case "simpson odd panels" `Quick test_simpson_odd_panels;
+        Alcotest.test_case "histogram single value" `Quick test_histogram_single_value;
         Alcotest.test_case "vec2 pp" `Quick test_vec2_pp;
+        Alcotest.test_case "gaussian pdf mass" `Quick test_gaussian_pdf_normalises;
         Alcotest.test_case "root zero endpoints" `Quick test_root_zero_endpoint;
       ] );
     ( "coverage.linprog",
@@ -220,6 +238,7 @@ let suites =
     ( "coverage.infotheory",
       [ Alcotest.test_case "pmf pp" `Quick test_pmf_pp;
         Alcotest.test_case "z channel" `Quick test_z_channel_matrix;
+        Alcotest.test_case "blahut iterations" `Quick test_blahut_iterations_reported;
         Alcotest.test_case "AND mac" `Quick test_mac_adder_of_dmc_pair;
       ] );
     ( "coverage.prob_channel",

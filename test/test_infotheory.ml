@@ -107,13 +107,8 @@ let test_bec_capacity_formula () =
   let i = Infotheory.Dmc.mutual_information ch (Infotheory.Pmf.uniform 2) in
   check_float ~eps:1e-9 "1 - e" 0.6 i
 
-(* the identity channel over an alphabet of [n] symbols *)
-let noiseless n =
-  Infotheory.Dmc.create
-    (Array.init n (fun x -> Array.init n (fun y -> if x = y then 1. else 0.)))
-
 let test_noiseless () =
-  let ch = noiseless 4 in
+  let ch = Infotheory.Channels.noiseless 4 in
   let i = Infotheory.Dmc.mutual_information ch (Infotheory.Pmf.uniform 4) in
   check_float "2 bits" 2. i
 
@@ -141,6 +136,50 @@ let test_dmc_invalid () =
   Alcotest.check_raises "bad row"
     (Invalid_argument "Dmc.create: row does not sum to 1") (fun () ->
       ignore (Infotheory.Dmc.create [| [| 0.5; 0.4 |] |]))
+
+(* ------------------------------------------------------------------ *)
+(* Blahut-Arimoto                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_blahut_bsc () =
+  let r = Infotheory.Blahut.capacity (Infotheory.Channels.bsc 0.11) in
+  check_float ~eps:1e-7 "C = 1 - H(p)"
+    (1. -. Infotheory.Info.binary_entropy 0.11)
+    r.Infotheory.Blahut.capacity;
+  check_float ~eps:1e-4 "uniform input" 0.5
+    (Infotheory.Pmf.prob r.Infotheory.Blahut.input 0)
+
+let test_blahut_bec () =
+  let r = Infotheory.Blahut.capacity (Infotheory.Channels.bec 0.3) in
+  check_float ~eps:1e-7 "C = 1 - e" 0.7 r.Infotheory.Blahut.capacity
+
+let test_blahut_z_channel () =
+  (* Z-channel with p = 0.5: known capacity log2(5/4) ~ 0.3219 with
+     optimal input P(X=1) = 2/5 *)
+  let r = Infotheory.Blahut.capacity (Infotheory.Channels.z_channel 0.5) in
+  check_float ~eps:1e-6 "C(Z, 0.5)" (Numerics.Float_utils.log2 1.25)
+    r.Infotheory.Blahut.capacity;
+  check_float ~eps:1e-4 "optimal input" 0.4
+    (Infotheory.Pmf.prob r.Infotheory.Blahut.input 1)
+
+let test_blahut_noiseless () =
+  let r = Infotheory.Blahut.capacity (Infotheory.Channels.noiseless 8) in
+  check_float ~eps:1e-7 "3 bits" 3. r.Infotheory.Blahut.capacity
+
+let test_biawgn_capacity_sandwich () =
+  (* quantised BIAWGN capacity must be below the Shannon AWGN capacity
+     and above the hard-decision BSC capacity *)
+  let snr = 1.0 in
+  let soft = Infotheory.Blahut.capacity
+      (Infotheory.Channels.binary_input_awgn ~snr ~levels:64) in
+  let hard = Infotheory.Blahut.capacity (Infotheory.Channels.bsc_of_snr ~snr) in
+  let shannon = 0.5 *. Numerics.Float_utils.log2 (1. +. snr) in
+  Alcotest.(check bool) "hard < soft" true
+    (hard.Infotheory.Blahut.capacity < soft.Infotheory.Blahut.capacity);
+  Alcotest.(check bool) "soft < shannon" true
+    (soft.Infotheory.Blahut.capacity < shannon);
+  Alcotest.(check bool) "soft < 1 bit" true
+    (soft.Infotheory.Blahut.capacity < 1.)
 
 (* ------------------------------------------------------------------ *)
 (* Mac                                                                 *)
@@ -177,7 +216,7 @@ let test_xor_mac_degenerate () =
      the other, but conditioned on X2 user 1 is perfect *)
   let mac =
     Infotheory.Mac.of_dmc_pair ~combine:(fun a b -> a lxor b)
-      (noiseless 2)
+      (Infotheory.Channels.noiseless 2)
   in
   let u = Infotheory.Pmf.uniform 2 in
   let t = Infotheory.Mac.rate_terms mac u u in
@@ -214,6 +253,15 @@ let prop_mi_nonneg_bsc =
       let ch = Infotheory.Channels.bsc p in
       Infotheory.Dmc.mutual_information ch (Infotheory.Pmf.binary q) >= -1e-9)
 
+let prop_blahut_at_least_uniform =
+  QCheck.Test.make ~count:50 ~name:"capacity >= uniform-input rate"
+    QCheck.(float_range 0.01 0.49)
+    (fun p ->
+      let ch = Infotheory.Channels.bsc p in
+      let c = (Infotheory.Blahut.capacity ch).Infotheory.Blahut.capacity in
+      let u = Infotheory.Dmc.mutual_information ch (Infotheory.Pmf.uniform 2) in
+      c >= u -. 1e-7)
+
 let prop_data_processing =
   QCheck.Test.make ~count:100 ~name:"cascade cannot increase information"
     QCheck.(triple (float_range 0.01 0.49) (float_range 0.01 0.49)
@@ -245,6 +293,7 @@ let qcheck_cases =
     [ prop_entropy_bounds;
       prop_kl_nonneg;
       prop_mi_nonneg_bsc;
+      prop_blahut_at_least_uniform;
       prop_data_processing;
       prop_mac_sum_dominates;
     ]
@@ -274,6 +323,13 @@ let suites =
         Alcotest.test_case "output dist" `Quick test_output_dist;
         Alcotest.test_case "sample_with" `Quick test_sample_with;
         Alcotest.test_case "invalid" `Quick test_dmc_invalid;
+      ] );
+    ( "infotheory.blahut",
+      [ Alcotest.test_case "bsc capacity" `Quick test_blahut_bsc;
+        Alcotest.test_case "bec capacity" `Quick test_blahut_bec;
+        Alcotest.test_case "z-channel capacity" `Quick test_blahut_z_channel;
+        Alcotest.test_case "noiseless capacity" `Quick test_blahut_noiseless;
+        Alcotest.test_case "biawgn sandwich" `Quick test_biawgn_capacity_sandwich;
       ] );
     ( "infotheory.mac",
       [ Alcotest.test_case "adder terms" `Quick test_adder_mac_terms;

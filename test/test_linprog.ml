@@ -611,6 +611,28 @@ let test_reoptimize_into_zero_alloc () =
     (Printf.sprintf "%.0f bytes allocated across %d warm solves" delta n)
     true (delta < 32.)
 
+(* [Solver.pivots] is the instance's own share of [linprog.pivots]:
+   equal to the counter's delta when it is the only solver running, and
+   blind to solves on any other instance. *)
+let test_solver_pivots_own_count () =
+  let counter = Telemetry.Metrics.counter "linprog.pivots" in
+  let constrs = [ c_ [| 1.; 1. |] le 4.; c_ [| 1.; 3. |] le 6. ] in
+  let before = Telemetry.Metrics.value counter in
+  let a = Linprog.Solver.create ~nvars:2 ~constrs in
+  Alcotest.(check int) "nothing recorded yet" 0 (Linprog.Solver.pivots a);
+  ignore (Linprog.Solver.reoptimize a ~c:[| 1.; 2. |]);
+  ignore (Linprog.Solver.reoptimize a ~c:[| 3.; 1. |]);
+  let own = Linprog.Solver.pivots a in
+  Alcotest.(check bool) "pivoted" true (own > 0);
+  Alcotest.(check int) "= counter delta" own
+    (Telemetry.Metrics.value counter - before);
+  let b = Linprog.Solver.create ~nvars:2 ~constrs in
+  ignore (Linprog.Solver.reoptimize b ~c:[| 1.; 2. |]);
+  Alcotest.(check bool) "other instance pivoted" true
+    (Linprog.Solver.pivots b > 0);
+  Alcotest.(check int) "unchanged by other instance" own
+    (Linprog.Solver.pivots a)
+
 (* ------------------------------------------------------------------ *)
 (* Warm solver vs the vertex-enumeration oracle on production LPs      *)
 (* ------------------------------------------------------------------ *)
@@ -706,6 +728,8 @@ let suites =
           test_solver_stress_basis_carry;
         Alcotest.test_case "warm reoptimize_into allocates zero words" `Quick
           test_reoptimize_into_zero_alloc;
+        Alcotest.test_case "pivots counts only its own solves" `Quick
+          test_solver_pivots_own_count;
       ] );
     ("linprog.properties", qcheck_cases);
   ]
