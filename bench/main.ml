@@ -218,119 +218,6 @@ let engine_comparison () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* LP engine: cold Simplex vs warm-start Solver                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The same boundary sweep solved twice on the production LP (the TDBC
-   inner bound from the ablation): once with a fresh [Simplex.maximize]
-   per weight (how sweeps ran before the warm-start engine), once with
-   one [Linprog.Solver] reoptimized across the sweep. Pivot counts and
-   per-solve latency come from the telemetry registry, so the numbers
-   are the same ones `bidir check` gates. *)
-let lp_comparison () =
-  hr "LP ENGINE: cold Simplex vs warm-start Solver (129-weight sweep)";
-  let nvars, constrs = Bidir.Rate_region.lp_constraints tdbc_bound in
-  let weights = 129 in
-  let objectives =
-    List.init weights (fun i ->
-        let w = float_of_int i /. float_of_int (weights - 1) in
-        let c = Array.make nvars 0. in
-        c.(0) <- w;
-        c.(1) <- 1. -. w;
-        c)
-  in
-  let pivots = Telemetry.Metrics.counter "linprog.pivots" in
-  let solves = Telemetry.Metrics.counter "linprog.solves" in
-  let alloc = Telemetry.Metrics.counter "linprog.alloc_bytes" in
-  (* allocation accounting on for this section only, so the cold/warm
-     allocations-per-solve baseline lands in BENCH_engine.json *)
-  Telemetry.Resource.with_enabled true @@ fun () ->
-  let measure solve_all =
-    Telemetry.Metrics.reset ();
-    let lp_seconds = Telemetry.Metrics.histogram "lp.solve_seconds" in
-    let t0 = Unix.gettimeofday () in
-    let outcomes =
-      solve_all (fun f -> Telemetry.Metrics.time lp_seconds f)
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let p50, _, p99 = Telemetry.Histogram.percentiles lp_seconds in
-    ( outcomes,
-      ( Telemetry.Metrics.value pivots,
-        Telemetry.Metrics.value solves,
-        Telemetry.Metrics.value alloc,
-        dt, p50, p99 ) )
-  in
-  let cold_outcomes,
-      (cold_pivots, cold_solves, cold_alloc, cold_dt, cold_p50, cold_p99) =
-    measure (fun timed ->
-        List.map
-          (fun c -> timed (fun () -> Linprog.Simplex.maximize ~c ~constrs))
-          objectives)
-  in
-  let warm_outcomes,
-      (warm_pivots, warm_solves, warm_alloc, warm_dt, warm_p50, warm_p99) =
-    measure (fun timed ->
-        let solver = Linprog.Solver.create ~nvars ~constrs in
-        List.map
-          (fun c -> timed (fun () -> Linprog.Solver.reoptimize solver ~c))
-          objectives)
-  in
-  let objectives_equal =
-    List.for_all2
-      (fun a b ->
-        match (a, b) with
-        | Linprog.Simplex.Optimal s1, Linprog.Simplex.Optimal s2 ->
-          abs_float (s1.Linprog.Simplex.objective -. s2.Linprog.Simplex.objective)
-          <= 1e-9
-        | _ -> false)
-      cold_outcomes warm_outcomes
-  in
-  let per_solve alc slv =
-    if slv = 0 then 0. else float_of_int alc /. float_of_int slv
-  in
-  let describe label (piv, slv, alc, dt, p50, p99) =
-    Printf.printf
-      "%-28s %6d pivots / %3d solves  %7.2f ms  (p50=%.3gs p99=%.3gs per \
-       solve, %.0f alloc B/solve)\n"
-      label piv slv (1000. *. dt) p50 p99 (per_solve alc slv)
-  in
-  describe "cold (Simplex.maximize):"
-    (cold_pivots, cold_solves, cold_alloc, cold_dt, cold_p50, cold_p99);
-  describe "warm (Solver.reoptimize):"
-    (warm_pivots, warm_solves, warm_alloc, warm_dt, warm_p50, warm_p99);
-  let pivot_reduction =
-    float_of_int cold_pivots /. float_of_int (max warm_pivots 1)
-  in
-  Printf.printf "pivot reduction: %.1fx; objectives agree to 1e-9: %b\n"
-    pivot_reduction objectives_equal;
-  let variant (piv, slv, alc, dt, p50, p99) =
-    Telemetry.Json.Obj
-      [ ("pivots", Telemetry.Json.Int piv);
-        ("solves", Telemetry.Json.Int slv);
-        ("alloc_bytes", Telemetry.Json.Int alc);
-        ("alloc_bytes_per_solve", Telemetry.Json.Float (per_solve alc slv));
-        ("seconds", Telemetry.Json.Float dt);
-        ("solve_seconds_p50", Telemetry.Json.Float p50);
-        ("solve_seconds_p99", Telemetry.Json.Float p99);
-      ]
-  in
-  Telemetry.Json.Obj
-    [ ("weights", Telemetry.Json.Int weights);
-      ("cold",
-       variant
-         (cold_pivots, cold_solves, cold_alloc, cold_dt, cold_p50, cold_p99));
-      ("warm",
-       variant
-         (warm_pivots, warm_solves, warm_alloc, warm_dt, warm_p50, warm_p99));
-      ("pivot_reduction", Telemetry.Json.Float pivot_reduction);
-      (* the headline allocations-per-solve number is the warm engine's:
-         that is the production path sweeps run on *)
-      ("alloc_bytes_per_solve",
-       Telemetry.Json.Float (per_solve warm_alloc warm_solves));
-      ("objectives_equal", Telemetry.Json.Bool objectives_equal);
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Kernel: warm flat-tableau latency and allocation                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -742,8 +629,7 @@ let bench_json_path = "BENCH_engine.json"
    phase wall times and full telemetry registry (histograms with
    p50/p90/p99), plus the engine-comparison timings. Tracking these
    files across commits gives the performance trajectory of the repo. *)
-let write_bench_json ~repro_stats ~repro_telemetry ~comparison ~lp ~kernel
-    ~serve =
+let write_bench_json ~repro_stats ~repro_telemetry ~comparison ~kernel ~serve =
   let s : Engine.Stats.snapshot = repro_stats in
   let json =
     Telemetry.Json.Obj
@@ -763,7 +649,6 @@ let write_bench_json ~repro_stats ~repro_telemetry ~comparison ~lp ~kernel
              ("telemetry", repro_telemetry);
            ]);
         ("engine_comparison", comparison);
-        ("lp_comparison", lp);
         ("kernel_comparison", kernel);
         ("serve_comparison", serve);
       ]
@@ -820,18 +705,22 @@ let trajectory_path = "BENCH_trajectory.jsonl"
    numbers. Reading the file back gives the repo's performance
    trajectory across commits; the full-fidelity baseline for `bidir
    check` style diffing lives in BENCH_snapshot.json. *)
-let append_trajectory ~(snapshot : Telemetry.Snapshot.t) ~comparison ~lp
-    ~kernel ~campaign ~network ~serve =
+let append_trajectory ~(snapshot : Telemetry.Snapshot.t) ~comparison ~kernel
+    ~campaign ~network ~serve =
   let hist_summary h =
     Telemetry.Json.Obj
       [ ("count", Telemetry.Json.Int (Telemetry.Histogram.count h));
         ("mean", Telemetry.Json.Float (Telemetry.Histogram.mean h));
       ]
   in
-  let carry key =
-    match Telemetry.Json.member key comparison with
-    | Some v -> [ (key, v) ]
-    | None -> []
+  (* the [keys] of one section's JSON, unprefixed, when present *)
+  let carry json keys =
+    List.concat_map
+      (fun key ->
+        match Telemetry.Json.member key json with
+        | Some v -> [ (key, v) ]
+        | None -> [])
+      keys
   in
   let line =
     Telemetry.Json.Obj
@@ -849,53 +738,16 @@ let append_trajectory ~(snapshot : Telemetry.Snapshot.t) ~comparison ~lp
                (fun (n, h) -> (n, hist_summary h))
                snapshot.Telemetry.Snapshot.histograms));
        ]
-      @ carry "speedup_4_domains_vs_1"
-      @ carry "byte_identical"
-      @
-      (* headline warm-start LP numbers, prefixed for the flat line *)
-      List.concat_map
-        (fun key ->
-          match Telemetry.Json.member key lp with
-          | Some v -> [ ("lp_" ^ key, v) ]
-          | None -> [])
-        [ "pivot_reduction"; "objectives_equal" ]
-      @
-      (* resource-attribution baselines for the kernel/campaign PRs,
-         unprefixed (the issue-facing key names) *)
-      List.concat_map
-        (fun key ->
-          match Telemetry.Json.member key lp with
-          | Some v -> [ (key, v) ]
-          | None -> [])
-        [ "alloc_bytes_per_solve" ]
-      @
-      (* flat-kernel allocation headline *)
-      List.concat_map
-        (fun key ->
-          match Telemetry.Json.member key kernel with
-          | Some v -> [ (key, v) ]
-          | None -> [])
-        [ "alloc_bytes_per_warm_solve" ]
-      @ List.concat_map
-          (fun key ->
-            match Telemetry.Json.member key campaign with
-            | Some v -> [ (key, v) ]
-            | None -> [])
+      @ carry comparison [ "speedup_4_domains_vs_1"; "byte_identical" ]
+      @ carry kernel [ "alloc_bytes_per_warm_solve" ]
+      @ carry campaign
           [ "campaign_speedup_4_domains"; "fanout_amortisation_speedup";
             "campaign_byte_identical"; "campaign_within_ci";
             "pool_idle_fraction"; "chunk_imbalance" ]
-      @ List.concat_map
-          (fun key ->
-            match Telemetry.Json.member key network with
-            | Some v -> [ (key, v) ]
-            | None -> [])
+      @ carry network
           [ "network_sum_rate"; "network_assignment_pivots";
             "network_greedy_lp_gap" ]
-      @ List.concat_map
-          (fun key ->
-            match Telemetry.Json.member key serve with
-            | Some v -> [ (key, v) ]
-            | None -> [])
+      @ carry serve
           [ "serve_cache_speedup"; "serve_warm_qps";
             "serve_responses_identical" ])
   in
@@ -922,16 +774,14 @@ let () =
   Printf.printf "wrote %s\n" snapshot_path;
   ablation ();
   let comparison = engine_comparison () in
-  let lp = lp_comparison () in
   let kernel = kernel_warm_solves () in
   let campaign = campaign_comparison () in
   let network = network_comparison () in
   let serve = serve_comparison () in
-  write_bench_json ~repro_stats ~repro_telemetry ~comparison ~lp ~kernel
-    ~serve;
+  write_bench_json ~repro_stats ~repro_telemetry ~comparison ~kernel ~serve;
   write_campaign_json ~campaign;
   write_network_json ~network;
-  append_trajectory ~snapshot:repro_snapshot ~comparison ~lp ~kernel ~campaign
+  append_trajectory ~snapshot:repro_snapshot ~comparison ~kernel ~campaign
     ~network ~serve;
   if not quick then begin
     (* time the real kernels, not cache lookups *)

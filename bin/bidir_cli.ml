@@ -169,29 +169,36 @@ let with_engine opts f =
   | None -> ()
   | Some path -> Telemetry.Stream.open_live ~interval:opts.live_interval path);
   let f = if opts.resource then fun () -> Telemetry.Resource.account f else f in
-  Fun.protect
-    ~finally:(fun () ->
-      (match opts.live with
-      | None -> ()
-      | Some path ->
-        Telemetry.Stream.close_live ();
-        Printf.eprintf "live: wrote %s\n" path);
-      (match opts.trace with
-      | None -> ()
-      | Some path ->
-        Telemetry.Span.stop ();
-        write_file path
-          (Telemetry.Sink.chrome_trace_string (Telemetry.Span.events ()));
-        Printf.eprintf "trace: wrote %s\n" path);
-      (match opts.metrics with
-      | None -> ()
-      | Some path ->
-        write_file path
-          (Telemetry.Json.to_string_pretty (Telemetry.Metrics.to_json ()));
-        Printf.eprintf "metrics: wrote %s\n" path);
-      if opts.stats then
-        prerr_string (Engine.Stats.to_string (Engine.Stats.snapshot ())))
-    f
+  (* an [Invalid_argument] out of a command body is a rejected user
+     input (a library precondition), reported as one line with exit 2
+     like every other validation error, not as a crash *)
+  try
+    Fun.protect
+      ~finally:(fun () ->
+        (match opts.live with
+        | None -> ()
+        | Some path ->
+          Telemetry.Stream.close_live ();
+          Printf.eprintf "live: wrote %s\n" path);
+        (match opts.trace with
+        | None -> ()
+        | Some path ->
+          Telemetry.Span.stop ();
+          write_file path
+            (Telemetry.Sink.chrome_trace_string (Telemetry.Span.events ()));
+          Printf.eprintf "trace: wrote %s\n" path);
+        (match opts.metrics with
+        | None -> ()
+        | Some path ->
+          write_file path
+            (Telemetry.Json.to_string_pretty (Telemetry.Metrics.to_json ()));
+          Printf.eprintf "metrics: wrote %s\n" path);
+        if opts.stats then
+          prerr_string (Engine.Stats.to_string (Engine.Stats.snapshot ())))
+      f
+  with Invalid_argument msg ->
+    Printf.eprintf "bidir: %s\n" msg;
+    exit 2
 
 (* ------------------------------------------------------------------ *)
 (* figures                                                             *)

@@ -98,13 +98,17 @@ let rates_for rows =
   let constrs =
     List.map
       (fun (ca, cb, budget) ->
-        Linprog.Simplex.constr [| ca; cb |] Linprog.Simplex.Le budget)
+        Linprog.Solver.constr [| ca; cb |] Linprog.Solver.Le budget)
       rows
   in
-  match Linprog.Simplex.maximize ~c:[| 1.; 1. |] ~constrs with
-  | Linprog.Simplex.Optimal sol ->
-    (sol.Linprog.Simplex.x.(0), sol.Linprog.Simplex.x.(1))
-  | Linprog.Simplex.Unbounded | Linprog.Simplex.Infeasible ->
+  let x = Array.make 3 0. in
+  match
+    Linprog.Solver.reoptimize_into
+      (Linprog.Solver.create ~nvars:2 ~constrs)
+      ~c:[| 1.; 1. |] ~x
+  with
+  | Linprog.Solver.Optimal -> (x.(0), x.(1))
+  | Linprog.Solver.Unbounded | Linprog.Solver.Infeasible ->
     (0., 0.) (* budgets are finite and non-negative; cannot happen *)
 
 let evaluate protocol s kind deltas =

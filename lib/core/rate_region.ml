@@ -11,14 +11,14 @@ let lp_constraints (b : Bound.t) =
     coeffs.(0) <- t.Bound.ca;
     coeffs.(1) <- t.Bound.cb;
     Array.iteri (fun i c -> coeffs.(2 + i) <- -.c) t.Bound.per_phase;
-    Linprog.Simplex.constr coeffs Linprog.Simplex.Le 0.
+    Linprog.Solver.constr coeffs Linprog.Solver.Le 0.
   in
   let simplex_row =
     let coeffs = Array.make nvars 0. in
     for i = 2 to nvars - 1 do
       coeffs.(i) <- 1.
     done;
-    Linprog.Simplex.constr coeffs Linprog.Simplex.Eq 1.
+    Linprog.Solver.constr coeffs Linprog.Solver.Eq 1.
   in
   (nvars, simplex_row :: List.map of_term b.Bound.terms)
 
@@ -205,13 +205,13 @@ let probe_achievable ~key b ~ra ~rb =
   let constrs b =
     let of_term (t : Bound.term) =
       (* sum_l c_l d_l >= ca ra + cb rb *)
-      Linprog.Simplex.constr
+      Linprog.Solver.constr
         (Array.copy t.Bound.per_phase)
-        Linprog.Simplex.Ge
+        Linprog.Solver.Ge
         ((t.Bound.ca *. ra) +. (t.Bound.cb *. rb) -. 1e-9)
     in
     let simplex_row =
-      Linprog.Simplex.constr (Array.make l 1.) Linprog.Simplex.Eq 1.
+      Linprog.Solver.constr (Array.make l 1.) Linprog.Solver.Eq 1.
     in
     simplex_row :: List.map of_term b.Bound.terms
   in

@@ -17,13 +17,13 @@ type opt_result = {
 val sum : opt_result -> float
 (** [ra +. rb]. *)
 
-val lp_constraints : Bound.t -> int * Linprog.Simplex.constr list
+val lp_constraints : Bound.t -> int * Linprog.Solver.constr list
 (** The raw LP behind every query on this region: variable count and
     constraint rows over [x = [Ra; Rb; d_1; ...; d_L]] (the bound's
     terms as [<=] rows plus the duration simplex equality). Exposed so
-    harnesses (the bench's cold-vs-warm LP comparison) can drive
-    {!Linprog.Simplex} / {!Linprog.Solver} on the exact production
-    system; ordinary callers never need it. *)
+    harnesses (the bench's warm-solve timings, the tests' LP oracle)
+    can drive {!Linprog.Solver} on the exact production system;
+    ordinary callers never need it. *)
 
 val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
 (** Maximise [wa Ra + wb Rb]; weights must be non-negative, not both 0.

@@ -31,8 +31,7 @@ let cache_hits = Telemetry.Metrics.counter "engine.cache_hits"
 let cache_misses = Telemetry.Metrics.counter "engine.cache_misses"
 let pool_tasks = Telemetry.Metrics.counter "engine.pool_tasks"
 
-(* Owned and written by the LP layer ([Linprog.Simplex] /
-   [Linprog.Solver]); the registry hands back the same handles, so the
+(* Owned and written by the LP layer ([Linprog.Solver]); the registry hands back the same handles, so the
    snapshot can surface the pivot budget without a dependency edge. *)
 let lp_pivots = Telemetry.Metrics.counter "linprog.pivots"
 let lp_warm_solves = Telemetry.Metrics.counter "linprog.warm_solves"

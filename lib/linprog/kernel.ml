@@ -11,11 +11,10 @@
    same shape touches no allocator at all.
 
    The arithmetic is kept operation-for-operation identical to the
-   historical nested-array implementation ([Simplex]'s and [Solver]'s
-   pre-flat tableaux): eliminations scale then subtract in the same
-   order, and reduced costs are accumulated per column in ascending row
-   order, so pivot sequences — and therefore every figure and solver
-   output — are bit-for-bit unchanged.
+   historical nested-array tableau it replaced: eliminations scale then
+   subtract in the same order, and reduced costs are accumulated per
+   column in ascending row order, so pivot sequences — and therefore
+   every figure and solver output — are bit-for-bit unchanged.
 
    Safety invariants for the unsafe accesses (maintained by [resize]):
      length a       >= nrows * stride,   stride = ncols + 1

@@ -1,7 +1,6 @@
 (** Flat row-major simplex tableau kernel.
 
-    The shared numeric core of {!Simplex} (cold reference) and
-    {!Solver} (warm-start engine): one contiguous unboxed [floatarray]
+    The numeric core of {!Solver}: one contiguous unboxed [floatarray]
     holds the m x (ncols + 1) tableau (right-hand side in the last
     column), and every hot operation — elimination, pricing, ratio
     test, reduced costs — walks it with [unsafe_get]/[unsafe_set] over
@@ -15,16 +14,13 @@
     sequences and solutions are bit-for-bit unchanged — the flat layout
     only changes memory behaviour, never results.
 
-    A kernel is mutable scratch, not a value: callers own exactly one
-    per solver/tableau and must not share it across domains (see the
-    ownership contract in docs/ENGINE.md). Index arguments are not
+    A kernel is mutable scratch, not a value: each solver owns exactly
+    one and must not share it across domains (see the ownership
+    contract in docs/ENGINE.md). Index arguments are not
     bounds-checked; every [row]/[col] must come from loops bounded by
     [nrows]/[ncols]. *)
 
 type t
-
-val eps : float
-(** Pivot/pricing tolerance shared by both solvers (1e-9). *)
 
 val create : nrows:int -> ncols:int -> t
 (** Fresh kernel sized for an [nrows] x [ncols] system (plus the rhs
@@ -71,7 +67,7 @@ val compute_reduced : t -> unit
     reference. *)
 
 val price_bland : t -> int
-(** Lowest-index column with reduced cost > eps; -1 when optimal. *)
+(** Lowest-index column with reduced cost > 1e-9; -1 when optimal. *)
 
 val price_dantzig : t -> int
 (** Most positive reduced cost (lowest index on ties); -1 when

@@ -1,25 +1,23 @@
-(* Reusable warm-start simplex engine.
+(* Reusable warm-start simplex engine — the one LP front-end.
 
-   [Simplex] is the cold-start reference: one call builds a tableau,
-   runs phase 1, solves, and throws everything away. A [Solver.t]
-   instead owns its tableau (and every scratch buffer) for as long as
-   the caller keeps it: the constraint system is loaded once, phase 1
-   establishes a feasible basis once, and each [reoptimize ~c] restarts
-   phase 2 from the basis the previous solve ended on — feasibility is
-   invariant under objective changes, so phase 1 never re-runs on a
-   pure objective sweep. [rebuild] swaps in a new constraint system in
-   place; when the new system has the same structural shape the old
-   optimal basis is refactorised against the fresh coefficients and, if
-   it verifies feasible, phase 1 is skipped there too.
+   A [Solver.t] owns its tableau (and every scratch buffer) for as long
+   as the caller keeps it: the constraint system is loaded once, phase 1
+   establishes a feasible basis once, and each [reoptimize_into ~c]
+   restarts phase 2 from the basis the previous solve ended on —
+   feasibility is invariant under objective changes, so phase 1 never
+   re-runs on a pure objective sweep. A cold solve is simply [create]
+   followed by one [reoptimize_into]. [rebuild] swaps in a new
+   constraint system in place; when the new system has the same
+   structural shape the old optimal basis is refactorised against the
+   fresh coefficients and, if it verifies feasible, phase 1 is skipped
+   there too.
 
    The numeric core is [Kernel]: a single flat row-major [floatarray]
    tableau with allocation-free elimination/pricing/ratio loops. On top
    of it this module keeps only the solve-to-solve state machine
-   (phases, basis carry, telemetry). [reoptimize] preserves the
-   original allocating API; [reoptimize_into] is the zero-allocation
-   variant — solution and objective land in a caller-owned buffer and a
-   warm solve allocates zero words, which the [linprog.alloc_bytes]
-   budget in `bidir check` pins.
+   (phases, basis carry, telemetry). The solution and objective land in
+   a caller-owned buffer, so a warm solve allocates zero words, which
+   the [linprog.alloc_bytes] budget in `bidir check` pins.
 
    Pricing is Dantzig's rule (most positive reduced cost) for speed,
    with an automatic, sticky fallback to Bland's rule after a run of
@@ -30,7 +28,11 @@
    call. Give each domain its own instance (the rate-region layer keys
    instances per domain via [Domain.DLS]); see docs/ENGINE.md. *)
 
-type relation = Simplex.relation = Le | Ge | Eq
+type relation = Le | Ge | Eq
+
+type constr = { coeffs : float array; relation : relation; rhs : float }
+
+let constr coeffs relation rhs = { coeffs; relation; rhs }
 
 let eps = 1e-9
 
@@ -40,7 +42,7 @@ let eps = 1e-9
 let singular_tol = 1e-7
 let rhs_tol = 1e-10
 
-(* Shared with [Simplex] (the registry returns the same handles). *)
+(* The LP layer's solve/pivot telemetry ([Engine.Stats] reads it). *)
 let solves_counter = Telemetry.Metrics.counter "linprog.solves"
 let pivots_counter = Telemetry.Metrics.counter "linprog.pivots"
 
@@ -64,7 +66,7 @@ let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
 
 (* Bytes allocated inside LP entry points while Telemetry.Resource is
    enabled; [linprog.alloc_bytes / linprog.solves] is the per-solve
-   allocation footprint. Shared with Simplex.maximize. *)
+   allocation footprint. *)
 let alloc_bytes_counter = Telemetry.Metrics.counter "linprog.alloc_bytes"
 
 let record_alloc b0 =
@@ -94,7 +96,6 @@ type t = {
   stall_limit : int;
 }
 
-let nvars t = t.nvars
 let pivots t = t.recorded_pivots
 
 (* ------------------------------------------------------------------ *)
@@ -105,14 +106,13 @@ let rel_tag = function Le -> 0 | Ge -> 1 | Eq -> 2
 
 let normalise nvars constrs =
   List.map
-    (fun (c : Simplex.constr) ->
-      if Array.length c.Simplex.coeffs <> nvars then
+    (fun c ->
+      if Array.length c.coeffs <> nvars then
         invalid_arg "Linprog.Solver: constraint arity mismatch";
-      if c.Simplex.rhs < 0. then
-        { Simplex.coeffs = Array.map (fun a -> -.a) c.Simplex.coeffs;
-          relation =
-            (match c.Simplex.relation with Le -> Ge | Ge -> Le | Eq -> Eq);
-          rhs = -.c.Simplex.rhs;
+      if c.rhs < 0. then
+        { coeffs = Array.map (fun a -> -.a) c.coeffs;
+          relation = (match c.relation with Le -> Ge | Ge -> Le | Eq -> Eq);
+          rhs = -.c.rhs;
         }
       else c)
     constrs
@@ -120,11 +120,11 @@ let normalise nvars constrs =
 let layout nvars normalised =
   let m = List.length normalised in
   let n_slack =
-    List.length (List.filter (fun c -> c.Simplex.relation <> Eq) normalised)
+    List.length (List.filter (fun c -> c.relation <> Eq) normalised)
   in
   let first_artificial = nvars + n_slack in
   let n_art =
-    List.length (List.filter (fun c -> c.Simplex.relation <> Le) normalised)
+    List.length (List.filter (fun c -> c.relation <> Le) normalised)
   in
   (m, first_artificial, first_artificial + n_art)
 
@@ -136,13 +136,13 @@ let fill t normalised ncols =
   Kernel.clear k;
   let slack = ref t.nvars and art = ref t.first_artificial in
   List.iteri
-    (fun i (c : Simplex.constr) ->
+    (fun i c ->
       for j = 0 to t.nvars - 1 do
-        Kernel.set k i j c.Simplex.coeffs.(j)
+        Kernel.set k i j c.coeffs.(j)
       done;
-      Kernel.set k i ncols c.Simplex.rhs;
-      t.shape.(i) <- rel_tag c.Simplex.relation;
-      (match c.Simplex.relation with
+      Kernel.set k i ncols c.rhs;
+      t.shape.(i) <- rel_tag c.relation;
+      (match c.relation with
       | Le ->
         Kernel.set k i !slack 1.;
         Kernel.set_basis k i !slack;
@@ -173,7 +173,7 @@ let pivot t ~row ~col =
    ties) until [stall_limit] consecutive degenerate pivots, then Bland
    (lowest eligible index) for the rest of the phase — Bland cannot
    cycle, so the phase terminates. Leaving row: minimum ratio, lowest
-   basis index among ties (same rule as the reference implementation). *)
+   basis index among ties. *)
 (* Iterative (no local recursive closure: a closure plus the refs it
    captures would be the only heap blocks left on the warm path).
    State: 0 = running, 1 = optimal, 2 = unbounded. *)
@@ -316,7 +316,7 @@ let rebuild_impl t ~constrs =
     && first_artificial = t.first_artificial
     && ncols = Kernel.ncols t.k
     && List.for_all2
-         (fun (c : Simplex.constr) i -> rel_tag c.Simplex.relation = t.shape.(i))
+         (fun c i -> rel_tag c.relation = t.shape.(i))
          normalised
          (List.init m Fun.id)
   in
@@ -384,36 +384,10 @@ let record_solve t =
   t.warm_next <- true;
   t.skip1_next <- true
 
-(* IEEE negative zeros can surface in basic-variable values when a
-   pivot path approaches a vertex coordinate from below; normalise them
-   so downstream rendering never prints "-0". ([Kernel.solution_into]
-   applies the same policy to the solution vector.) *)
-let clean v = if v = 0. then 0. else v
-
-let reoptimize_impl t ~c =
-  if Array.length c <> t.nvars then
-    invalid_arg "Linprog.Solver.reoptimize: objective arity mismatch";
-  match t.status with
-  | Unsat ->
-    record_solve t;
-    Simplex.Infeasible
-  | Sat ->
-    Kernel.load_cost t.k c t.nvars;
-    (match run_phase t with
-    | `Unbounded ->
-      record_solve t;
-      Simplex.Unbounded
-    | `Optimal ->
-      let x = Array.make t.nvars 0. in
-      Kernel.solution_into t.k ~nvars:t.nvars ~x;
-      let objective = clean (Kernel.objective t.k) in
-      record_solve t;
-      Simplex.Optimal { Simplex.x; objective })
-
-(* The zero-allocation warm path: same state machine as [reoptimize],
-   but the solution lands in the caller-owned [x] (objective in
-   [x.(nvars)]) and the verdict is a constant constructor — a warm
-   solve allocates zero words, telemetry included. *)
+(* The solve: the solution lands in the caller-owned [x] (objective in
+   [x.(nvars)], negative zero normalised so rendering never prints
+   "-0") and the verdict is a constant constructor — a warm solve
+   allocates zero words, telemetry included. *)
 let reoptimize_into_impl t ~c ~x =
   if Array.length c <> t.nvars then
     invalid_arg "Linprog.Solver.reoptimize_into: objective arity mismatch";
@@ -457,15 +431,6 @@ let rebuild t ~constrs =
       (fun () -> rebuild_impl t ~constrs)
   end
 
-let reoptimize t ~c =
-  if not (Telemetry.Resource.enabled ()) then reoptimize_impl t ~c
-  else begin
-    let b0 = Gc.allocated_bytes () in
-    Fun.protect
-      ~finally:(fun () -> record_alloc b0)
-      (fun () -> reoptimize_impl t ~c)
-  end
-
 (* No [Fun.protect] here: the two closures it would allocate are the
    difference between ~0 and ~60 bytes per accounted warm solve. The
    impl only raises on caller errors (arity), where losing one
@@ -478,8 +443,6 @@ let reoptimize_into t ~c ~x =
     record_alloc b0;
     r
   end
-
-let solve_many t cs = List.map (fun c -> reoptimize t ~c) cs
 
 let feasible t =
   let sat = t.status = Sat in

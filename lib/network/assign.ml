@@ -97,7 +97,7 @@ let lp (t : table) =
   let row f =
     let coeffs = Array.make nvars 0. in
     f coeffs;
-    Linprog.Simplex.constr coeffs Linprog.Simplex.Le 1.
+    Linprog.Solver.constr coeffs Linprog.Solver.Le 1.
   in
   let pair_rows =
     List.init np (fun k ->
@@ -120,13 +120,12 @@ let lp (t : table) =
     done
   done;
   let solver = Linprog.Solver.create ~nvars ~constrs:(pair_rows @ relay_rows) in
-  let x =
-    match Linprog.Solver.reoptimize solver ~c with
-    | Linprog.Simplex.Optimal s -> s.Linprog.Simplex.x
-    | Linprog.Simplex.Unbounded | Linprog.Simplex.Infeasible ->
-      (* cannot happen: 0 is feasible and every variable is <= 1 *)
-      assert false
-  in
+  let x = Array.make (nvars + 1) 0. in
+  (match Linprog.Solver.reoptimize_into solver ~c ~x with
+  | Linprog.Solver.Optimal -> ()
+  | Linprog.Solver.Unbounded | Linprog.Solver.Infeasible ->
+    (* cannot happen: 0 is feasible and every variable is <= 1 *)
+    assert false);
   let assignment_pivots = Linprog.Solver.pivots solver in
   Telemetry.Metrics.add
     (Telemetry.Metrics.counter "network.assignment_pivots")

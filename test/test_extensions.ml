@@ -346,11 +346,32 @@ let test_boost_table_shape () =
   let t = Bidir.Power_allocation.boost_table ~powers_db:[ 10. ] () in
   Alcotest.(check int) "relayed protocols" 4 (List.length t.Bidir.Figures.rows)
 
+(* [figures power-boost --csv] pinned byte for byte: [figures all] does
+   not render this table, so no other test sees its LP path. *)
+let test_boost_table_csv () =
+  let expected =
+    String.concat "\n"
+      [ "P (dB),protocol,peak,avg-energy,gain";
+        "0,NAIVE,1.1456,1.7430,+52.1%";
+        "0,MABC,1.8936,2.4773,+30.8%";
+        "0,TDBC,1.7678,2.7998,+58.4%";
+        "0,HBC,1.8983,2.7998,+47.5%";
+        "10,NAIVE,2.6647,3.3789,+26.8%";
+        "10,MABC,3.9923,4.6230,+15.8%";
+        "10,TDBC,4.5096,5.7566,+27.7%";
+        "10,HBC,4.5049,5.7566,+27.8%";
+        "";
+      ]
+  in
+  Alcotest.(check string) "power-boost CSV" expected
+    (Report.table_csv (Bidir.Power_allocation.boost_table ()))
+
 let power_allocation_cases =
   [ Alcotest.test_case "peak matches LP" `Quick test_peak_matches_lp;
     Alcotest.test_case "banking helps" `Quick test_energy_banking_helps;
     Alcotest.test_case "energy budget respected" `Quick test_power_boost_consistency;
     Alcotest.test_case "boost table" `Slow test_boost_table_shape;
+    Alcotest.test_case "boost table CSV" `Quick test_boost_table_csv;
   ]
 
 let suites = suites @ [ ("bidir.power_allocation", power_allocation_cases) ]

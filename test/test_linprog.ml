@@ -3,17 +3,28 @@
 let check_float ?(eps = 1e-7) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
-let solve_max c constrs = Linprog.Simplex.maximize ~c ~constrs
+(* One [reoptimize_into] on [solver] into a fresh buffer: the verdict,
+   plus [x] holding the optimal point in [x.(0 .. nvars-1)] and the
+   objective in [x.(nvars)]. *)
+let solve_on solver c =
+  let x = Array.make (Array.length c + 1) 0. in
+  (Linprog.Solver.reoptimize_into solver ~c ~x, x)
+
+(* A cold solve: a fresh instance and one solve on it. *)
+let solve_max c constrs =
+  solve_on (Linprog.Solver.create ~nvars:(Array.length c) ~constrs) c
+
+let objective x = x.(Array.length x - 1)
 
 let expect_optimal = function
-  | Linprog.Simplex.Optimal s -> s
-  | Linprog.Simplex.Unbounded -> Alcotest.fail "unexpected: unbounded"
-  | Linprog.Simplex.Infeasible -> Alcotest.fail "unexpected: infeasible"
+  | Linprog.Solver.Optimal, x -> x
+  | Linprog.Solver.Unbounded, _ -> Alcotest.fail "unexpected: unbounded"
+  | Linprog.Solver.Infeasible, _ -> Alcotest.fail "unexpected: infeasible"
 
-let le = Linprog.Simplex.Le
-let ge = Linprog.Simplex.Ge
-let eq = Linprog.Simplex.Eq
-let c_ = Linprog.Simplex.constr
+let le = Linprog.Solver.Le
+let ge = Linprog.Solver.Ge
+let eq = Linprog.Solver.Eq
+let c_ = Linprog.Solver.constr
 
 (* ------------------------------------------------------------------ *)
 (* Textbook instances                                                  *)
@@ -29,9 +40,9 @@ let test_basic_2d () =
            c_ [| 3.; 2. |] le 18.;
          ])
   in
-  check_float "objective" 36. s.Linprog.Simplex.objective;
-  check_float "x" 2. s.Linprog.Simplex.x.(0);
-  check_float "y" 6. s.Linprog.Simplex.x.(1)
+  check_float "objective" 36. (objective s);
+  check_float "x" 2. s.(0);
+  check_float "y" 6. s.(1)
 
 let test_equality_constraint () =
   (* max x + y s.t. x + y = 5, x <= 3 -> obj 5 *)
@@ -40,42 +51,39 @@ let test_equality_constraint () =
       (solve_max [| 1.; 1. |]
          [ c_ [| 1.; 1. |] eq 5.; c_ [| 1.; 0. |] le 3. ])
   in
-  check_float "objective" 5. s.Linprog.Simplex.objective
+  check_float "objective" 5. (objective s)
 
 let test_ge_constraint () =
-  (* min x + 2y s.t. x + y >= 4, x <= 3, y <= 3 -> (3, 1), obj 5 *)
+  (* min x + 2y s.t. x + y >= 4, x <= 3, y <= 3 -> (3, 1), obj 5;
+     solved as max -x - 2y *)
   let s =
-    match
-      Linprog.Simplex.minimize ~c:[| 1.; 2. |]
-        ~constrs:
-          [ c_ [| 1.; 1. |] ge 4.;
-            c_ [| 1.; 0. |] le 3.;
-            c_ [| 0.; 1. |] le 3.;
-          ]
-    with
-    | Linprog.Simplex.Optimal s -> s
-    | _ -> Alcotest.fail "expected optimal"
+    expect_optimal
+      (solve_max [| -1.; -2. |]
+         [ c_ [| 1.; 1. |] ge 4.;
+           c_ [| 1.; 0. |] le 3.;
+           c_ [| 0.; 1. |] le 3.;
+         ])
   in
-  check_float "objective" 5. s.Linprog.Simplex.objective;
-  check_float "x" 3. s.Linprog.Simplex.x.(0);
-  check_float "y" 1. s.Linprog.Simplex.x.(1)
+  check_float "objective" (-5.) (objective s);
+  check_float "x" 3. s.(0);
+  check_float "y" 1. s.(1)
 
 let test_unbounded () =
   match solve_max [| 1.; 0. |] [ c_ [| 0.; 1. |] le 1. ] with
-  | Linprog.Simplex.Unbounded -> ()
+  | Linprog.Solver.Unbounded, _ -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let test_infeasible () =
   match
     solve_max [| 1. |] [ c_ [| 1. |] le 1.; c_ [| 1. |] ge 2. ]
   with
-  | Linprog.Simplex.Infeasible -> ()
+  | Linprog.Solver.Infeasible, _ -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_negative_rhs () =
   (* -x <= -2 means x >= 2; max -x -> x = 2 *)
   let s = expect_optimal (solve_max [| -1. |] [ c_ [| -1. |] le (-2.) ]) in
-  check_float "objective" (-2.) s.Linprog.Simplex.objective
+  check_float "objective" (-2.) (objective s)
 
 let test_degenerate () =
   (* degenerate vertex: three constraints meet at (1,1) *)
@@ -87,7 +95,7 @@ let test_degenerate () =
            c_ [| 1.; 1. |] le 2.;
          ])
   in
-  check_float "objective" 2. s.Linprog.Simplex.objective
+  check_float "objective" 2. (objective s)
 
 let test_redundant_equalities () =
   (* duplicated equality rows exercise the redundant-row drop *)
@@ -99,18 +107,20 @@ let test_redundant_equalities () =
            c_ [| 1.; 0. |] le 2.;
          ])
   in
-  check_float "objective" 3. s.Linprog.Simplex.objective
+  check_float "objective" 3. (objective s)
 
 let test_zero_objective () =
   let s = expect_optimal (solve_max [| 0.; 0. |] [ c_ [| 1.; 1. |] le 1. ]) in
-  check_float "objective" 0. s.Linprog.Simplex.objective
+  check_float "objective" 0. (objective s)
+
+let feasible ~nvars constrs =
+  Linprog.Solver.feasible (Linprog.Solver.create ~nvars ~constrs)
 
 let test_feasible () =
   Alcotest.(check bool) "feasible" true
-    (Linprog.Simplex.feasible ~nvars:2 ~constrs:[ c_ [| 1.; 1. |] le 1. ]);
+    (feasible ~nvars:2 [ c_ [| 1.; 1. |] le 1. ]);
   Alcotest.(check bool) "infeasible" false
-    (Linprog.Simplex.feasible ~nvars:1
-       ~constrs:[ c_ [| 1. |] le 1.; c_ [| 1. |] ge 2. ])
+    (feasible ~nvars:1 [ c_ [| 1. |] le 1.; c_ [| 1. |] ge 2. ])
 
 let test_klee_minty_3 () =
   (* Klee-Minty cube in 3 dimensions: optimum is 5^3 / ... classic form:
@@ -125,7 +135,7 @@ let test_klee_minty_3 () =
            c_ [| 200.; 20.; 1. |] le 10000.;
          ])
   in
-  check_float "objective" 10000. s.Linprog.Simplex.objective
+  check_float "objective" 10000. (objective s)
 
 let test_phase_duration_shape () =
   (* the exact LP shape used for MABC rate regions:
@@ -148,8 +158,8 @@ let test_phase_duration_shape () =
            c_ [| 0.; 0.; 1.; 1. |] eq 1.;
          ])
   in
-  check_float "sum rate" 2. s.Linprog.Simplex.objective;
-  check_float "d1" (2. /. 3.) s.Linprog.Simplex.x.(2)
+  check_float "sum rate" 2. (objective s);
+  check_float "d1" (2. /. 3.) s.(2)
 
 (* ------------------------------------------------------------------ *)
 (* Properties: cross-check against brute-force vertex enumeration      *)
@@ -217,11 +227,11 @@ let brute_force ~nvars c constrs =
   (* Ge rows enter as negated Le rows *)
   let eqs, les =
     List.partition_map
-      (fun (ct : Linprog.Simplex.constr) ->
+      (fun (ct : Linprog.Solver.constr) ->
         match ct.relation with
-        | Linprog.Simplex.Eq -> Left (ct.coeffs, ct.rhs)
-        | Linprog.Simplex.Le -> Right (ct.coeffs, ct.rhs)
-        | Linprog.Simplex.Ge ->
+        | Linprog.Solver.Eq -> Left (ct.coeffs, ct.rhs)
+        | Linprog.Solver.Le -> Right (ct.coeffs, ct.rhs)
+        | Linprog.Solver.Ge ->
           Right (Array.map Float.neg ct.coeffs, -.ct.rhs))
       constrs
   in
@@ -278,9 +288,8 @@ let prop_simplex_matches_brute_force =
       in
       let c = [| c1; c2 |] in
       match (solve_max c constrs, brute_force ~nvars:2 c constrs) with
-      | Linprog.Simplex.Optimal s, Some best ->
-        abs_float (s.Linprog.Simplex.objective -. best) < 1e-5
-      | Linprog.Simplex.Optimal _, None -> false
+      | (Linprog.Solver.Optimal, s), Some best ->
+        abs_float (objective s -. best) < 1e-5
       | _, _ -> false)
 
 let prop_solution_is_feasible =
@@ -288,8 +297,7 @@ let prop_solution_is_feasible =
     lp_2d_gen (fun ((c1, c2), rows) ->
       let constrs = List.map (fun (a, b, r) -> c_ [| a; b |] le r) rows in
       match solve_max [| c1; c2 |] constrs with
-      | Linprog.Simplex.Optimal s ->
-        let x = s.Linprog.Simplex.x in
+      | Linprog.Solver.Optimal, x ->
         x.(0) >= -1e-7 && x.(1) >= -1e-7
         && List.for_all
              (fun (a, b, r) -> (a *. x.(0)) +. (b *. x.(1)) <= r +. 1e-6)
@@ -304,9 +312,8 @@ let prop_duality_bound =
       match
         (solve_max [| c1; c2 |] constrs, solve_max [| 2. *. c1; 2. *. c2 |] constrs)
       with
-      | Linprog.Simplex.Optimal s1, Linprog.Simplex.Optimal s2 ->
-        abs_float ((2. *. s1.Linprog.Simplex.objective) -. s2.Linprog.Simplex.objective)
-        < 1e-5
+      | (Linprog.Solver.Optimal, s1), (Linprog.Solver.Optimal, s2) ->
+        abs_float ((2. *. objective s1) -. objective s2) < 1e-5
       | _ -> false)
 
 (* Mixed Le/Ge systems: rows a x + b y (<=|>=) r with a, b > 0 and
@@ -330,10 +337,10 @@ let prop_feasible_agrees_with_maximize =
   QCheck.Test.make ~count:300 ~name:"feasible agrees with maximize status"
     lp_mixed_gen (fun ((c1, c2), rows) ->
       let constrs = mixed_constrs rows in
-      let f = Linprog.Simplex.feasible ~constrs ~nvars:2 in
+      let f = feasible ~nvars:2 constrs in
       match solve_max [| c1; c2 |] constrs with
-      | Linprog.Simplex.Optimal _ | Linprog.Simplex.Unbounded -> f
-      | Linprog.Simplex.Infeasible -> not f)
+      | (Linprog.Solver.Optimal | Linprog.Solver.Unbounded), _ -> f
+      | Linprog.Solver.Infeasible, _ -> not f)
 
 let prop_duplicate_rows_invariant =
   QCheck.Test.make ~count:300 ~name:"duplicating a constraint keeps optimum"
@@ -343,10 +350,8 @@ let prop_duplicate_rows_invariant =
       match
         (solve_max [| c1; c2 |] constrs, solve_max [| c1; c2 |] doubled)
       with
-      | Linprog.Simplex.Optimal s1, Linprog.Simplex.Optimal s2 ->
-        abs_float
-          (s1.Linprog.Simplex.objective -. s2.Linprog.Simplex.objective)
-        < 1e-6
+      | (Linprog.Solver.Optimal, s1), (Linprog.Solver.Optimal, s2) ->
+        abs_float (objective s1 -. objective s2) < 1e-6
       | _ -> false)
 
 let prop_scaled_rows_invariant =
@@ -362,41 +367,40 @@ let prop_scaled_rows_invariant =
       match
         (solve_max [| c1; c2 |] constrs, solve_max [| c1; c2 |] scaled)
       with
-      | Linprog.Simplex.Optimal s1, Linprog.Simplex.Optimal s2 ->
-        abs_float
-          (s1.Linprog.Simplex.objective -. s2.Linprog.Simplex.objective)
-        < 1e-5
+      | (Linprog.Solver.Optimal, s1), (Linprog.Solver.Optimal, s2) ->
+        abs_float (objective s1 -. objective s2) < 1e-5
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start solver vs the cold reference                             *)
+(* Warm-start solver vs the oracle                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Outcome classes must match; optimal objectives must agree to 1e-9
-   (relative — the two engines reach the optimum through different
-   pivot sequences, so only roundoff separates them). The optimal
-   *points* may legitimately differ on a degenerate face. *)
-let same_outcome a b =
-  match (a, b) with
-  | Linprog.Simplex.Optimal s1, Linprog.Simplex.Optimal s2 ->
-    let o1 = s1.Linprog.Simplex.objective
-    and o2 = s2.Linprog.Simplex.objective in
-    abs_float (o1 -. o2) <= 1e-9 *. (1. +. Float.max (abs_float o1) (abs_float o2))
-  | Linprog.Simplex.Unbounded, Linprog.Simplex.Unbounded -> true
-  | Linprog.Simplex.Infeasible, Linprog.Simplex.Infeasible -> true
-  | _ -> false
+(* The oracle's verdict on a [mixed_constrs] system. Every row has
+   positive coefficients, so any Le row bounds the region, while a
+   Ge-only region contains every direction d >= 0 and the LP is bounded
+   exactly when no entry of [c] is positive. A feasible region in
+   x >= 0 always has a vertex, so no vertex means infeasible. *)
+let oracle_mixed rows c =
+  match brute_force ~nvars:2 c (mixed_constrs rows) with
+  | None -> `Infeasible
+  | Some best ->
+    if
+      List.exists (fun (is_ge, _, _, _) -> not is_ge) rows
+      || Array.for_all (fun v -> v <= 0.) c
+    then `Optimal best
+    else `Unbounded
 
-(* lp_mixed_gen spans all three outcome classes: Le-only systems are
-   bounded-feasible, Ge rows can make them infeasible, and Ge-only
-   systems are unbounded above for a positive objective. *)
-let prop_solver_matches_simplex =
-  QCheck.Test.make ~count:500
-    ~name:"Solver.reoptimize = Simplex.maximize (mixed Le/Ge)"
-    lp_mixed_gen (fun ((c1, c2), rows) ->
-      let constrs = mixed_constrs rows in
-      let c = [| c1; c2 |] in
-      let solver = Linprog.Solver.create ~nvars:2 ~constrs in
-      same_outcome (Linprog.Solver.reoptimize solver ~c) (solve_max c constrs))
+(* Verdict classes must match; optimal objectives agree to 1e-7
+   relative. The optimal *points* may legitimately differ on a
+   degenerate face. *)
+let matches_oracle rows c (verdict, x) =
+  match (verdict, oracle_mixed rows c) with
+  | Linprog.Solver.Optimal, `Optimal best ->
+    abs_float (objective x -. best) <= 1e-7 *. (1. +. abs_float best)
+  | Linprog.Solver.Unbounded, `Unbounded
+  | Linprog.Solver.Infeasible, `Infeasible ->
+    true
+  | _ -> false
 
 let objective_seq_gen =
   QCheck.(
@@ -406,19 +410,18 @@ let objective_seq_gen =
 
 let prop_solver_objective_sequence =
   (* one instance, many objectives: every warm-started solve in the
-     sequence must match a fresh cold solve of the same LP, including
-     sign flips that turn an unbounded direction on and off *)
+     sequence must match the oracle, including sign flips that turn an
+     unbounded direction on and off *)
   QCheck.Test.make ~count:200
-    ~name:"warm-started objective sweep matches fresh cold solves"
+    ~name:"warm-started objective sweep matches vertex enumeration"
     objective_seq_gen (fun (((c1, c2), rows), cs) ->
-      let constrs = mixed_constrs rows in
-      let solver = Linprog.Solver.create ~nvars:2 ~constrs in
+      let solver =
+        Linprog.Solver.create ~nvars:2 ~constrs:(mixed_constrs rows)
+      in
       List.for_all
         (fun (a, b) ->
           let c = [| a; b |] in
-          same_outcome
-            (Linprog.Solver.reoptimize solver ~c)
-            (solve_max c constrs))
+          matches_oracle rows c (solve_on solver c))
         ((c1, c2) :: cs))
 
 (* Two systems sharing a structural shape (row count and relations), so
@@ -435,9 +438,9 @@ let lp_paired_gen =
             (triple (float_range 0.1 5.) (float_range 0.1 5.)
                (float_range 0.5 20.)))))
 
-let prop_solver_rebuild_matches_fresh =
+let prop_solver_rebuild_matches_oracle =
   QCheck.Test.make ~count:300
-    ~name:"rebuild (basis carry) matches a fresh cold solve"
+    ~name:"rebuild (basis carry) matches vertex enumeration"
     lp_paired_gen (fun ((c1, c2), rows) ->
       let rows1 = List.map fst rows in
       let rows2 =
@@ -450,13 +453,12 @@ let prop_solver_rebuild_matches_fresh =
       in
       (* establish an optimal basis on system 1 so the rebuild has
          something to carry (create alone only leaves a phase-1 basis) *)
-      ignore (Linprog.Solver.reoptimize solver ~c);
+      ignore (solve_on solver c);
       Linprog.Solver.rebuild solver ~constrs:constrs2;
-      same_outcome (Linprog.Solver.reoptimize solver ~c)
-        (solve_max c constrs2)
+      matches_oracle rows2 c (solve_on solver c)
       && Bool.equal
            (Linprog.Solver.feasible solver)
-           (Linprog.Simplex.feasible ~nvars:2 ~constrs:constrs2))
+           (oracle_mixed rows2 c <> `Infeasible))
 
 (* ------------------------------------------------------------------ *)
 (* Solver stress: basis carry across a long structurally-similar sweep *)
@@ -465,9 +467,9 @@ let prop_solver_rebuild_matches_fresh =
 (* One solver instance carried across 120 LPs that share a structural
    shape (same variable count, row count and relations, perturbed
    coefficients) — the pattern the rate-table sweeps produce. Every
-   warm outcome must match a fresh cold [Simplex.maximize] to 1e-9 and
-   the whole warm sweep must stay within the cold pivot budget (the
-   point of carrying the basis). *)
+   warm objective must match the vertex-enumeration oracle, and the
+   whole warm sweep must stay within the pivot budget of a fresh
+   instance per system (the point of carrying the basis). *)
 let test_solver_stress_basis_carry () =
   let nvars = 6 and nrows = 8 and systems = 120 in
   let rng = Prob.Rng.create ~seed:2024 in
@@ -478,47 +480,40 @@ let test_solver_stress_basis_carry () =
         in
         c_ coeffs le (Prob.Rng.float_range rng ~lo:1. ~hi:5.))
   in
-  let objective () =
+  let objective_vec () =
     Array.init nvars (fun _ -> Prob.Rng.float_range rng ~lo:0.1 ~hi:1.)
   in
   let instances =
     List.init systems (fun _ ->
         let constrs = fresh_system () in
-        (constrs, objective ()))
+        (constrs, objective_vec ()))
   in
-  let pivots = Telemetry.Metrics.counter "linprog.pivots" in
-  let measure f =
-    let before = Telemetry.Metrics.value pivots in
-    let r = f () in
-    (r, Telemetry.Metrics.value pivots - before)
+  let cold_pivots =
+    List.fold_left
+      (fun acc (constrs, c) ->
+        let solver = Linprog.Solver.create ~nvars ~constrs in
+        ignore (expect_optimal (solve_on solver c));
+        acc + Linprog.Solver.pivots solver)
+      0 instances
   in
-  let cold_objs, cold_pivots =
-    measure (fun () ->
-        List.map
-          (fun (constrs, c) ->
-            (expect_optimal (solve_max c constrs)).Linprog.Simplex.objective)
-          instances)
-  in
-  let warm_objs, warm_pivots =
-    measure (fun () ->
-        let solver =
-          Linprog.Solver.create ~nvars ~constrs:(fst (List.hd instances))
-        in
-        List.map
-          (fun (constrs, c) ->
-            Linprog.Solver.rebuild solver ~constrs;
-            (expect_optimal (Linprog.Solver.reoptimize solver ~c))
-              .Linprog.Simplex.objective)
-          instances)
+  let solver =
+    Linprog.Solver.create ~nvars ~constrs:(fst (List.hd instances))
   in
   List.iteri
-    (fun i (cold, warm) ->
-      let tol = 1e-9 *. Float.max 1. (Float.abs cold) in
-      if Float.abs (cold -. warm) > tol then
-        Alcotest.failf "system %d: cold %.12g vs warm %.12g" i cold warm)
-    (List.combine cold_objs warm_objs);
+    (fun i (constrs, c) ->
+      Linprog.Solver.rebuild solver ~constrs;
+      let warm = objective (expect_optimal (solve_on solver c)) in
+      match brute_force ~nvars c constrs with
+      | Some best when abs_float (warm -. best) <= 1e-7 *. (1. +. abs_float best)
+        ->
+        ()
+      | Some best ->
+        Alcotest.failf "system %d: oracle %.12g vs warm %.12g" i best warm
+      | None -> Alcotest.failf "system %d: oracle found no vertex" i)
+    instances;
+  let warm_pivots = Linprog.Solver.pivots solver in
   Alcotest.(check bool)
-    (Printf.sprintf "warm sweep pivots (%d) within cold budget (%d)"
+    (Printf.sprintf "warm sweep pivots (%d) within fresh-instance budget (%d)"
        warm_pivots cold_pivots)
     true
     (warm_pivots <= cold_pivots)
@@ -527,52 +522,14 @@ let test_solver_stress_basis_carry () =
 (* Flat-kernel zero-allocation API: reoptimize_into                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The into-API against the cold reference, across all three outcome
-   classes (objective lands in x.(nvars)). *)
-let prop_reoptimize_into_matches_simplex =
+(* A cold solve against the oracle, across all three outcome classes
+   (objective lands in x.(nvars)). *)
+let prop_reoptimize_into_matches_oracle_mixed =
   QCheck.Test.make ~count:500
-    ~name:"Solver.reoptimize_into = Simplex.maximize (mixed Le/Ge)"
+    ~name:"Solver.reoptimize_into = vertex enumeration (mixed Le/Ge)"
     lp_mixed_gen (fun ((c1, c2), rows) ->
-      let constrs = mixed_constrs rows in
       let c = [| c1; c2 |] in
-      let solver = Linprog.Solver.create ~nvars:2 ~constrs in
-      let x = Array.make 3 0. in
-      match (Linprog.Solver.reoptimize_into solver ~c ~x, solve_max c constrs)
-      with
-      | Linprog.Solver.Optimal, Linprog.Simplex.Optimal s ->
-        let o1 = x.(2) and o2 = s.Linprog.Simplex.objective in
-        abs_float (o1 -. o2)
-        <= 1e-9 *. (1. +. Float.max (abs_float o1) (abs_float o2))
-      | Linprog.Solver.Unbounded, Linprog.Simplex.Unbounded -> true
-      | Linprog.Solver.Infeasible, Linprog.Simplex.Infeasible -> true
-      | _ -> false)
-
-(* Warm sweep: the into-API and the allocating API run the same kernel
-   pivot path, so they must agree bitwise — verdicts, solution vector
-   and objective — on every solve of the sequence. *)
-let prop_reoptimize_into_matches_reoptimize =
-  QCheck.Test.make ~count:200
-    ~name:"warm reoptimize_into sweep = reoptimize sweep (bitwise)"
-    objective_seq_gen (fun (((c1, c2), rows), cs) ->
-      let constrs = mixed_constrs rows in
-      let s_into = Linprog.Solver.create ~nvars:2 ~constrs in
-      let s_ref = Linprog.Solver.create ~nvars:2 ~constrs in
-      let x = Array.make 3 0. in
-      List.for_all
-        (fun (a, b) ->
-          let c = [| a; b |] in
-          match
-            ( Linprog.Solver.reoptimize_into s_into ~c ~x,
-              Linprog.Solver.reoptimize s_ref ~c )
-          with
-          | Linprog.Solver.Optimal, Linprog.Simplex.Optimal s ->
-            x.(2) = s.Linprog.Simplex.objective
-            && x.(0) = s.Linprog.Simplex.x.(0)
-            && x.(1) = s.Linprog.Simplex.x.(1)
-          | Linprog.Solver.Unbounded, Linprog.Simplex.Unbounded -> true
-          | Linprog.Solver.Infeasible, Linprog.Simplex.Infeasible -> true
-          | _ -> false)
-        ((c1, c2) :: cs))
+      matches_oracle rows c (solve_max c (mixed_constrs rows)))
 
 (* The headline property of the flat kernel: a warm [reoptimize_into]
    allocates zero words — tableau, scratch, pricing, telemetry and the
@@ -620,14 +577,14 @@ let test_solver_pivots_own_count () =
   let before = Telemetry.Metrics.value counter in
   let a = Linprog.Solver.create ~nvars:2 ~constrs in
   Alcotest.(check int) "nothing recorded yet" 0 (Linprog.Solver.pivots a);
-  ignore (Linprog.Solver.reoptimize a ~c:[| 1.; 2. |]);
-  ignore (Linprog.Solver.reoptimize a ~c:[| 3.; 1. |]);
+  ignore (solve_on a [| 1.; 2. |]);
+  ignore (solve_on a [| 3.; 1. |]);
   let own = Linprog.Solver.pivots a in
   Alcotest.(check bool) "pivoted" true (own > 0);
   Alcotest.(check int) "= counter delta" own
     (Telemetry.Metrics.value counter - before);
   let b = Linprog.Solver.create ~nvars:2 ~constrs in
-  ignore (Linprog.Solver.reoptimize b ~c:[| 1.; 2. |]);
+  ignore (solve_on b [| 1.; 2. |]);
   Alcotest.(check bool) "other instance pivoted" true
     (Linprog.Solver.pivots b > 0);
   Alcotest.(check int) "unchanged by other instance" own
@@ -700,11 +657,9 @@ let qcheck_cases =
       prop_feasible_agrees_with_maximize;
       prop_duplicate_rows_invariant;
       prop_scaled_rows_invariant;
-      prop_solver_matches_simplex;
       prop_solver_objective_sequence;
-      prop_solver_rebuild_matches_fresh;
-      prop_reoptimize_into_matches_simplex;
-      prop_reoptimize_into_matches_reoptimize;
+      prop_solver_rebuild_matches_oracle;
+      prop_reoptimize_into_matches_oracle_mixed;
       prop_reoptimize_into_matches_oracle;
     ]
 

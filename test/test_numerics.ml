@@ -62,38 +62,6 @@ let test_fold_range () =
     (Numerics.Float_utils.fold_range 10 ~init:0 ~f:( + ))
 
 (* ------------------------------------------------------------------ *)
-(* Special                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_erf_values () =
-  check_float ~eps:1e-6 "erf 0" 0. (Numerics.Special.erf 0.);
-  check_float ~eps:1e-6 "erf 1" 0.8427007929 (Numerics.Special.erf 1.);
-  check_float ~eps:1e-6 "erf -1" (-0.8427007929) (Numerics.Special.erf (-1.));
-  check_float ~eps:1e-6 "erf 2" 0.9953222650 (Numerics.Special.erf 2.)
-
-let test_q_function () =
-  check_float ~eps:1e-6 "Q(0)" 0.5 (Numerics.Special.q_function 0.);
-  check_float ~eps:1e-6 "Q(1.644853)" 0.05
-    (Numerics.Special.q_function 1.6448536269);
-  check_float ~eps:1e-7 "Q(3)" 0.0013498980
-    (Numerics.Special.q_function 3.)
-
-let test_inv_q () =
-  List.iter
-    (fun p ->
-      check_float ~eps:1e-6 "inv_q round trip" p
-        (Numerics.Special.q_function (Numerics.Special.inv_q p)))
-    [ 0.01; 0.05; 0.3; 0.5; 0.9; 0.99 ]
-
-let test_gaussian_cdf_symmetry () =
-  List.iter
-    (fun x ->
-      check_float ~eps:1e-7 "cdf(-x) = 1 - cdf(x)"
-        (1. -. Numerics.Special.gaussian_cdf x)
-        (Numerics.Special.gaussian_cdf (-.x)))
-    [ 0.3; 1.; 2.5 ]
-
-(* ------------------------------------------------------------------ *)
 (* Root                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -230,22 +198,6 @@ let test_distance_to_boundary () =
     (Numerics.Polygon.distance_to_boundary square (v 3. 1.))
 
 (* ------------------------------------------------------------------ *)
-(* Integrate                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_simpson () =
-  let v = Numerics.Integrate.simpson ~f:sin ~lo:0. ~hi:Float.pi ~n:100 in
-  check_float ~eps:1e-6 "int sin" 2. v
-
-let test_adaptive () =
-  let v = Numerics.Integrate.adaptive_simpson ~lo:0. ~hi:10. (fun x -> exp (-.x)) in
-  check_float ~eps:1e-8 "int exp" (1. -. exp (-10.)) v
-
-let test_trapezoid () =
-  let v = Numerics.Integrate.trapezoid ~f:(fun x -> x) ~lo:0. ~hi:1. ~n:10 in
-  check_float ~eps:1e-12 "linear exact" 0.5 v
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -325,12 +277,6 @@ let prop_brent_finds_root =
       let r = Numerics.Root.brent ~f 0. 10. in
       abs_float (f r) < 1e-6)
 
-let prop_erf_odd =
-  QCheck.Test.make ~count:100 ~name:"erf is odd"
-    QCheck.(float_range (-4.) 4.)
-    (fun x ->
-      abs_float (Numerics.Special.erf x +. Numerics.Special.erf (-.x)) < 1e-6)
-
 let prop_summarize_bounds =
   QCheck.Test.make ~count:100 ~name:"min <= mean <= max"
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-50.) 50.))
@@ -348,7 +294,6 @@ let qcheck_cases =
       prop_quantile_monotone;
       prop_polygon_orientation_invariant;
       prop_brent_finds_root;
-      prop_erf_odd;
       prop_summarize_bounds;
     ]
 
@@ -364,12 +309,6 @@ let suites =
         Alcotest.test_case "kahan sum" `Quick test_kahan_sum;
         Alcotest.test_case "max_by" `Quick test_max_by;
         Alcotest.test_case "fold_range" `Quick test_fold_range;
-      ] );
-    ( "numerics.special",
-      [ Alcotest.test_case "erf values" `Quick test_erf_values;
-        Alcotest.test_case "q function" `Quick test_q_function;
-        Alcotest.test_case "inverse q" `Quick test_inv_q;
-        Alcotest.test_case "cdf symmetry" `Quick test_gaussian_cdf_symmetry;
       ] );
     ( "numerics.root",
       [ Alcotest.test_case "bisect" `Quick test_bisect;
@@ -395,11 +334,6 @@ let suites =
           test_polygon_contains_clockwise;
         Alcotest.test_case "down closure" `Quick test_down_closure;
         Alcotest.test_case "distance to boundary" `Quick test_distance_to_boundary;
-      ] );
-    ( "numerics.integrate",
-      [ Alcotest.test_case "simpson" `Quick test_simpson;
-        Alcotest.test_case "adaptive" `Quick test_adaptive;
-        Alcotest.test_case "trapezoid" `Quick test_trapezoid;
       ] );
     ("numerics.properties", qcheck_cases);
   ]
