@@ -24,18 +24,41 @@ let set t i v =
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.set t.data pos (Char.chr (byte land 0xFF))
 
+let get_byte t i =
+  if i < 0 || i >= Bytes.length t.data then
+    invalid_arg "Bitvec.get_byte: index out of bounds";
+  Char.code (Bytes.get t.data i)
+
 let copy t = { len = t.len; data = Bytes.copy t.data }
 
+(* Every vector keeps the bits past [len] in its last byte at zero, so
+   that [equal] can compare bytes and [weight] can count them. *)
 let equal a b = a.len = b.len && Bytes.equal a.data b.data
+
+let xor_prefix_into ~dst src ~len =
+  if len < 0 || len > dst.len || len > src.len then
+    invalid_arg "Bitvec.xor_prefix_into: length out of range";
+  let d = dst.data and s = src.data in
+  let full = len / 8 in
+  let words = full / 8 in
+  for w = 0 to words - 1 do
+    let i = 8 * w in
+    Bytes.set_int64_le d i
+      (Int64.logxor (Bytes.get_int64_le d i) (Bytes.get_int64_le s i))
+  done;
+  for i = 8 * words to full - 1 do
+    Bytes.set d i
+      (Char.unsafe_chr (Char.code (Bytes.get d i) lxor Char.code (Bytes.get s i)))
+  done;
+  let r = len land 7 in
+  if r > 0 then begin
+    let x = Char.code (Bytes.get s full) land ((1 lsl r) - 1) in
+    Bytes.set d full (Char.unsafe_chr (Char.code (Bytes.get d full) lxor x))
+  end
 
 let xor_into ~dst src =
   if dst.len <> src.len then invalid_arg "Bitvec.xor_into: length mismatch";
-  for i = 0 to Bytes.length dst.data - 1 do
-    Bytes.set dst.data i
-      (Char.chr
-         (Char.code (Bytes.get dst.data i)
-          lxor Char.code (Bytes.get src.data i)))
-  done
+  xor_prefix_into ~dst src ~len:dst.len
 
 let xor a b =
   let r = copy a in
@@ -57,9 +80,7 @@ let hamming_distance a b = weight (xor a b)
 
 let random rng len =
   let t = create len in
-  for i = 0 to len - 1 do
-    set t i (Prob.Rng.bool rng)
-  done;
+  Prob.Rng.fill_bits rng t.data len;
   t
 
 let of_string s =
@@ -85,6 +106,7 @@ let to_bool_array t = Array.init t.len (get t)
 let of_int ~width n =
   if n < 0 then invalid_arg "Bitvec.of_int: negative";
   if width < 0 || width > 62 then invalid_arg "Bitvec.of_int: bad width";
+  if n lsr width <> 0 then invalid_arg "Bitvec.of_int: does not fit";
   let t = create width in
   for i = 0 to width - 1 do
     if (n lsr i) land 1 = 1 then set t i true
@@ -101,21 +123,45 @@ let to_int t =
 
 let append a b =
   let t = create (a.len + b.len) in
-  for i = 0 to a.len - 1 do
-    set t i (get a i)
-  done;
-  for i = 0 to b.len - 1 do
-    set t (a.len + i) (get b i)
-  done;
+  Bytes.blit a.data 0 t.data 0 (Bytes.length a.data);
+  let q = a.len / 8 and s = a.len land 7 in
+  if s = 0 then Bytes.blit b.data 0 t.data q (Bytes.length b.data)
+  else begin
+    (* byte i of b straddles bytes q+i and q+i+1 of t; a's padding bits
+       in byte q are zero, so or-ing b in is enough *)
+    let n = Bytes.length t.data in
+    for i = 0 to Bytes.length b.data - 1 do
+      let x = Char.code (Bytes.get b.data i) and j = q + i in
+      Bytes.set t.data j
+        (Char.unsafe_chr ((Char.code (Bytes.get t.data j) lor (x lsl s)) land 0xFF));
+      if j + 1 < n then Bytes.set t.data (j + 1) (Char.unsafe_chr (x lsr (8 - s)))
+    done
+  end;
   t
 
 let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then
     invalid_arg "Bitvec.sub: out of bounds";
   let r = create len in
-  for i = 0 to len - 1 do
-    set r i (get t (pos + i))
-  done;
+  let nb = Bytes.length r.data in
+  let q = pos / 8 and s = pos land 7 in
+  if s = 0 then Bytes.blit t.data q r.data 0 nb
+  else begin
+    let src_bytes = Bytes.length t.data in
+    for i = 0 to nb - 1 do
+      let lo = Char.code (Bytes.get t.data (q + i)) lsr s in
+      let hi =
+        if q + i + 1 < src_bytes then Char.code (Bytes.get t.data (q + i + 1)) lsl (8 - s)
+        else 0
+      in
+      Bytes.set r.data i (Char.unsafe_chr ((lo lor hi) land 0xFF))
+    done
+  end;
+  (* the copied bytes may carry bits of [t] past [pos + len] *)
+  let tail = len land 7 in
+  if tail > 0 then
+    Bytes.set r.data (nb - 1)
+      (Char.unsafe_chr (Char.code (Bytes.get r.data (nb - 1)) land ((1 lsl tail) - 1)));
   r
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -9,6 +9,11 @@ val length : t -> int
 val get : t -> int -> bool
 val set : t -> int -> bool -> unit
 
+val get_byte : t -> int -> int
+(** [get_byte t i] holds bits [8i .. 8i+7] of [t], bit [8i] in the least
+    significant position; bits past the length read as zero. Valid for
+    [0 <= i < (length t + 7) / 8]. *)
+
 val copy : t -> t
 val equal : t -> t -> bool
 
@@ -17,7 +22,13 @@ val xor : t -> t -> t
     relay's network-coding combine: [w_r = w_a xor w_b]. *)
 
 val xor_into : dst:t -> t -> unit
-(** In-place xor of the second argument into [dst]. *)
+(** In-place xor of the second argument into [dst]; lengths must agree. *)
+
+val xor_prefix_into : dst:t -> t -> len:int -> unit
+(** [xor_prefix_into ~dst src ~len] xors the first [len] bits of [src]
+    into the first [len] bits of [dst], leaving the rest of [dst] as it
+    was; requires [len] to be at most both lengths. Xoring into a zero
+    vector copies those bits. *)
 
 val weight : t -> int
 (** Hamming weight. *)
@@ -36,7 +47,8 @@ val of_bool_array : bool array -> t
 val to_bool_array : t -> bool array
 
 val of_int : width:int -> int -> t
-(** Little-endian binary expansion of a non-negative integer. *)
+(** Little-endian binary expansion of a non-negative integer
+    [n < 2^width], [width <= 62]; raises [Invalid_argument] otherwise. *)
 
 val to_int : t -> int
 (** Inverse of {!of_int}; requires length <= 62. *)

@@ -4,12 +4,18 @@ val crc16 : Bitvec.t -> int
 (** CRC-16/CCITT-FALSE over the bit vector (MSB-first over the bits,
     init 0xFFFF, polynomial 0x1021). *)
 
-val crc32 : Bitvec.t -> int32
-(** Standard reflected CRC-32 (polynomial 0xEDB88320) over the bits. *)
-
 val append_crc16 : Bitvec.t -> Bitvec.t
 (** Payload followed by its 16 checksum bits. *)
 
 val check_crc16 : Bitvec.t -> Bitvec.t option
 (** Validates a vector produced by {!append_crc16}; returns the payload
-    when the checksum matches, [None] otherwise. *)
+    when the checksum matches, [None] otherwise. The payload is copied
+    only when it matches. *)
+
+val valid_crc16 : Bitvec.t -> bool
+(** [check_crc16 v <> None], without copying the payload. *)
+
+val seal_crc16 : Bitvec.t -> unit
+(** Overwrites the last 16 bits of a vector with the checksum of the
+    bits before them, after which {!valid_crc16} holds. Raises
+    [Invalid_argument] on a vector shorter than 16 bits. *)

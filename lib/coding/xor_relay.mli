@@ -8,6 +8,12 @@
 val combine : Bitvec.t -> Bitvec.t -> Bitvec.t
 (** [combine w_a w_b] pads to the common length and xors. *)
 
+val combine_framed : Bitvec.t -> Bitvec.t -> Bitvec.t option
+(** [combine_framed fa fb] is the relay's combine on CRC-framed words
+    (see {!Crc.append_crc16}): when both checksums hold, the framed
+    [combine] of the two payloads, built in one allocation without
+    copying either payload out; [None] when a checksum fails. *)
+
 val recover : own:Bitvec.t -> relay:Bitvec.t -> Bitvec.t
 (** [recover ~own ~relay] gives the opposite terminal's message (padded
     to the relay word length); requires [length own <= length relay]. *)
@@ -15,4 +21,4 @@ val recover : own:Bitvec.t -> relay:Bitvec.t -> Bitvec.t
 val recover_exact : own:Bitvec.t -> relay:Bitvec.t -> expected_len:int ->
   Bitvec.t
 (** Like {!recover} but truncates to the opposite message's true length
-    [expected_len]. *)
+    [expected_len], which must lie in [0, length relay]. *)

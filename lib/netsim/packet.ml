@@ -30,11 +30,9 @@ let corrupt rng t =
 let verify t = Coding.Crc.check_crc16 t.payload
 
 let xor_payloads p1 p2 ~src ~seq =
-  (* combine the raw payloads (CRC stripped) and re-protect *)
-  match (verify p1, verify p2) with
-  | Some w1, Some w2 ->
-    fresh ~src ~seq (Coding.Xor_relay.combine w1 w2)
-  | _ -> invalid_arg "Packet.xor_payloads: cannot combine corrupted packets"
+  match Coding.Xor_relay.combine_framed p1.payload p2.payload with
+  | Some payload -> { src; dst = None; seq; payload; checksum_ok = true }
+  | None -> invalid_arg "Packet.xor_payloads: cannot combine corrupted packets"
 
 let readdress p ~src ~dst =
   match verify p with

@@ -13,13 +13,16 @@ let create ~seed = { state = Int64.of_int seed; gamma = golden_gamma }
 
 let copy t = { state = t.state; gamma = t.gamma }
 
-(* splitmix64 output mix *)
-let next_int64 t =
-  t.state <- Int64.add t.state t.gamma;
-  let z = t.state in
+(* splitmix64 output mix; [@inline] so that [fill_bits] keeps the state
+   unboxed without flambda *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t =
+  t.state <- Int64.add t.state t.gamma;
+  mix t.state
 
 let popcount64 x =
   let c = ref 0 in
@@ -67,5 +70,21 @@ let int t n =
   draw ()
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
+
+let fill_bits t buf len =
+  if len < 0 || len > 8 * Bytes.length buf then
+    invalid_arg "Rng.fill_bits: length out of range";
+  (* one draw per bit, as [bool] makes it; the state stays in a local
+     so that it is never boxed *)
+  let state = ref t.state and gamma = t.gamma in
+  for byte = 0 to ((len + 7) / 8) - 1 do
+    let acc = ref 0 in
+    for k = 0 to min 7 (len - (8 * byte) - 1) do
+      state := Int64.add !state gamma;
+      acc := !acc lor ((Int64.to_int (mix !state) land 1) lsl k)
+    done;
+    Bytes.unsafe_set buf byte (Char.unsafe_chr !acc)
+  done;
+  t.state <- !state
 
 let bernoulli t ~p = float t < p

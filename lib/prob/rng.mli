@@ -34,5 +34,14 @@ val int : t -> int -> int
 (** [int t n] is uniform in [0, n); requires [n > 0]. *)
 
 val bool : t -> bool
+
+val fill_bits : t -> Bytes.t -> int -> unit
+(** [fill_bits t buf len] writes [len] bits into [buf], LSB-first within
+    each byte, bit [i] being the [i]-th of [len] successive {!bool}
+    draws; [t] ends where those draws would leave it. The bits from
+    [len] up to the end of its last byte are set to zero; later bytes
+    are left alone. Raises [Invalid_argument] unless
+    [0 <= len <= 8 * Bytes.length buf]. *)
+
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is true with probability [p]. *)

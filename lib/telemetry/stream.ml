@@ -107,8 +107,18 @@ let event_to_json = function
 
 let capacity = 8192
 
-let slots : event option Atomic.t array =
-  Array.init capacity (fun _ -> Atomic.make None)
+(* The slots are allocated when streaming is first enabled: they are
+   ~24k words of live heap that a process which never streams would
+   carry, and the major heap grows with the live set. Producers push
+   only while streaming, so they always find the slots in place. *)
+let slots : event option Atomic.t array Atomic.t = Atomic.make [||]
+let slots_lock = Mutex.create ()
+
+let ensure_slots () =
+  if Array.length (Atomic.get slots) = 0 then
+    Mutex.protect slots_lock (fun () ->
+        if Array.length (Atomic.get slots) = 0 then
+          Atomic.set slots (Array.init capacity (fun _ -> Atomic.make None)))
 
 (* [tail] is the next ticket to claim (producers CAS it); [head] is the
    next slot to consume, written only by the consumer. Both grow
@@ -119,9 +129,12 @@ let head = Atomic.make 0
 let streaming = Atomic.make false
 
 let enabled () = Atomic.get streaming
-let set_enabled b = Atomic.set streaming b
+let set_enabled b =
+  if b then ensure_slots ();
+  Atomic.set streaming b
 
 let with_enabled b f =
+  if b then ensure_slots ();
   let old = Atomic.get streaming in
   Atomic.set streaming b;
   Fun.protect ~finally:(fun () -> Atomic.set streaming old) f
@@ -143,7 +156,7 @@ let rec push ev =
     (* the slot is ours: the consumer cleared it to [None] before
        advancing [head] past [t - capacity], and no other producer can
        claim ticket [t] *)
-    Atomic.set slots.(t mod capacity) (Some ev);
+    Atomic.set (Atomic.get slots).(t mod capacity) (Some ev);
     Metrics.incr events_c;
     true
   end
@@ -175,7 +188,7 @@ let drain () =
     let h = Atomic.get head in
     if h >= Atomic.get tail then continue := false
     else begin
-      let slot = slots.(h mod capacity) in
+      let slot = (Atomic.get slots).(h mod capacity) in
       (* a producer that claimed this ticket may not have published its
          event yet; the window is a few instructions, so spin *)
       let rec take () =

@@ -107,23 +107,14 @@ let test_pathloss_gains_at_vertical () =
 (* Coding reference vectors                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_crc32_check_value () =
-  (* the standard CRC-32 check: crc32("123456789") = 0xCBF43926,
-     bytes fed LSB-first as the reflected algorithm specifies *)
-  let s = "123456789" in
-  let bits = Coding.Bitvec.create (8 * String.length s) in
-  String.iteri
-    (fun i c ->
-      let b = Char.code c in
-      for j = 0 to 7 do
-        if (b lsr j) land 1 = 1 then Coding.Bitvec.set bits ((8 * i) + j) true
-      done)
-    s;
-  Alcotest.(check int32) "check value" 0xCBF43926l (Coding.Crc.crc32 bits)
-
 let test_bitvec_of_int_invalid () =
   Alcotest.check_raises "negative" (Invalid_argument "Bitvec.of_int: negative")
     (fun () -> ignore (Coding.Bitvec.of_int ~width:4 (-1)));
+  Alcotest.check_raises "too wide for width"
+    (Invalid_argument "Bitvec.of_int: does not fit")
+    (fun () -> ignore (Coding.Bitvec.of_int ~width:4 16));
+  Alcotest.(check string) "widest value that fits" "1111"
+    (Coding.Bitvec.to_string (Coding.Bitvec.of_int ~width:4 15));
   Alcotest.check_raises "sub oob" (Invalid_argument "Bitvec.sub: out of bounds")
     (fun () -> ignore (Coding.Bitvec.sub (Coding.Bitvec.create 4) ~pos:2 ~len:3))
 
@@ -230,8 +221,7 @@ let suites =
         Alcotest.test_case "planar symmetric" `Quick test_pathloss_gains_at_vertical;
       ] );
     ( "coverage.coding",
-      [ Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
-        Alcotest.test_case "bitvec invalid" `Quick test_bitvec_of_int_invalid;
+      [ Alcotest.test_case "bitvec invalid" `Quick test_bitvec_of_int_invalid;
       ] );
     ( "coverage.netsim_bidir",
       [ Alcotest.test_case "node names" `Quick test_node_names;

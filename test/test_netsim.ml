@@ -320,6 +320,87 @@ let test_runner_determinism () =
   in
   Alcotest.(check (float 0.)) "identical reruns" (run ()) (run ())
 
+(* Seeded results pinned to literal values, so that a change to the bit
+   pipeline shows. Rayleigh fading with a fixed schedule makes outages,
+   so [Packet.corrupt] and the CRC reject path run too. *)
+let fingerprint m =
+  Printf.sprintf "delivered=%d offered=%d errors=%d outages=[%s] throughput=%h"
+    (Netsim.Metrics.delivered_bits m) (Netsim.Metrics.offered_bits m)
+    (Netsim.Metrics.bit_errors m)
+    (String.concat ";"
+       (List.map (fun (p, c) -> Printf.sprintf "%d:%d" p c)
+          (Netsim.Metrics.phase_outages m)))
+    (Netsim.Metrics.throughput m)
+
+let faded_fixed protocol =
+  let s = Bidir.Gaussian.scenario ~power_db:10. ~gains:paper_gains in
+  let opt = Bidir.Optimize.sum_rate protocol Bidir.Bound.Inner s in
+  { (Netsim.Runner.default_config ~protocol ~power_db:10. ~gains:paper_gains
+       ~blocks:60 ~block_symbols:1_000 ~seed:7 ())
+    with
+    Netsim.Runner.fading = Channel.Fading.create ~rng_seed:7 ~mean:paper_gains ();
+    mode =
+      Netsim.Runner.Fixed
+        { deltas = opt.Bidir.Optimize.deltas;
+          ra = opt.Bidir.Optimize.ra;
+          rb = opt.Bidir.Optimize.rb;
+        };
+  }
+
+let test_runner_pinned () =
+  List.iter2
+    (fun p expected ->
+      Alcotest.(check string) (Bidir.Protocol.name p) expected
+        (fingerprint (Netsim.Runner.run (faded_fixed p)).Netsim.Runner.metrics))
+    Bidir.Protocol.all
+    [ "delivered=72639 offered=207540 errors=0 outages=[1:39] throughput=0x1.35ed288ce703bp+0";
+      "delivered=26660 offered=159960 errors=0 outages=[1:36;2:14] throughput=0x1.c6ff513cc1e0ap-2";
+      "delivered=65747 offered=239520 errors=0 outages=[1:37;2:13] throughput=0x1.188541ac2b25p+0";
+      "delivered=23322 offered=270600 errors=0 outages=[1:36;2:14;3:7] throughput=0x1.8e075f6fd21ffp-2";
+      "delivered=23322 offered=270600 errors=0 outages=[3:50;4:7] throughput=0x1.8e075f6fd21ffp-2";
+    ]
+
+let test_detailed_pinned () =
+  let adaptive =
+    { (Netsim.Runner.default_config ~protocol:Bidir.Protocol.Tdbc ~power_db:10.
+         ~gains:paper_gains ~blocks:30 ~block_symbols:1_000 ~seed:11 ())
+      with
+      Netsim.Runner.fading = Channel.Fading.create ~rng_seed:11 ~mean:paper_gains ();
+    }
+  in
+  Alcotest.(check string) "TDBC, fading, adaptive"
+    "delivered=99286 offered=99286 errors=0 outages=[] throughput=0x1.a79ec9cbd821ep+1"
+    (fingerprint (Netsim.Detailed.run adaptive).Netsim.Runner.metrics);
+  Alcotest.(check string) "MABC, fading, fixed"
+    "delivered=65747 offered=239520 errors=0 outages=[1:37;2:13] throughput=0x1.188541ac2b25p+0"
+    (fingerprint
+       (Netsim.Detailed.run (faded_fixed Bidir.Protocol.Mabc)).Netsim.Runner.metrics)
+
+let test_arq_pinned () =
+  let s = Bidir.Gaussian.scenario ~power_db:10. ~gains:paper_gains in
+  let opt = Bidir.Optimize.sum_rate Bidir.Protocol.Tdbc Bidir.Bound.Inner s in
+  let r =
+    Netsim.Arq.run
+      { Netsim.Arq.protocol = Bidir.Protocol.Tdbc;
+        power = Numerics.Float_utils.db_to_lin 10.;
+        fading = Channel.Fading.create ~rng_seed:17 ~mean:paper_gains ();
+        deltas = opt.Bidir.Optimize.deltas;
+        ra = opt.Bidir.Optimize.ra *. 0.7;
+        rb = opt.Bidir.Optimize.rb *. 0.7;
+        block_symbols = 1_000;
+        messages = 40;
+        max_retries = 3;
+        seed = 23;
+      }
+  in
+  Alcotest.(check string) "TDBC + ARQ"
+    "delivered=37 dropped=3 blocks=81 goodput=0x1.712c935ad8615p+0 \
+     attempts=0x1.dd67c8a60dd68p+0 max=4"
+    (Printf.sprintf "delivered=%d dropped=%d blocks=%d goodput=%h attempts=%h max=%d"
+       r.Netsim.Arq.delivered_pairs r.Netsim.Arq.dropped_pairs
+       r.Netsim.Arq.total_blocks r.Netsim.Arq.goodput r.Netsim.Arq.mean_attempts
+       r.Netsim.Arq.max_attempts_seen)
+
 let test_runner_validation () =
   let base =
     Netsim.Runner.default_config ~protocol:Bidir.Protocol.Mabc ~power_db:0.
@@ -419,6 +500,9 @@ let suites =
         Alcotest.test_case "consistent with bounds" `Quick test_decode_outcome_consistent_with_bounds;
         Alcotest.test_case "fading: adaptive vs fixed" `Quick test_backoff_under_fading_reduces_outage;
         Alcotest.test_case "determinism" `Quick test_runner_determinism;
+        Alcotest.test_case "seeded results pinned" `Quick test_runner_pinned;
+        Alcotest.test_case "detailed pinned" `Quick test_detailed_pinned;
+        Alcotest.test_case "arq pinned" `Quick test_arq_pinned;
         Alcotest.test_case "validation" `Quick test_runner_validation;
         Alcotest.test_case "virtual clock" `Quick test_elapsed_symbols;
       ] );
