@@ -42,7 +42,10 @@ let run (cfg : Runner.config) =
     let pkt_a = Packet.fresh ~src:Packet.A ~seq:index wa in
     let pkt_b = Packet.fresh ~src:Packet.B ~seq:index wb in
     (* phase boundaries, with the final edge pinned to exactly t0 + nf so
-       accumulated rounding can never spill a phase into the next block *)
+       accumulated rounding can never spill a phase into the next block.
+       Durations are clamped at zero first: an LP optimum can carry a
+       phase of -1e-16, which would end before it starts *)
+    let deltas = Array.map (Float.max 0.) deltas in
     let num_phases = Array.length deltas in
     let total = Numerics.Float_utils.sum deltas in
     let boundaries =

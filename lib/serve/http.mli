@@ -48,3 +48,7 @@ val status_reason : int -> string
 
 val url_decode : string -> string
 (** Percent- and [+]-decoding for query parameter names and values. *)
+
+val assoc : string -> (string * 'a) list -> 'a option
+(** [assoc name l]: the value of the first pair in [l] named [name],
+    compared with [String.equal] (no polymorphic compare). *)

@@ -131,6 +131,15 @@ let request c req_string =
   done;
   read_response c
 
+(* The query key written to [--dump]: a readable rendering, injective
+   like [Query.key], with every float as %.17g. *)
+let dump_key (q : Query.t) =
+  let g_ab, g_ar, g_br = q.gains_db in
+  Printf.sprintf "%s|%s|%s|%d|%.17g|%.17g|%.17g|%.17g" (Query.kind_name q.kind)
+    (match q.bound with Bidir.Bound.Inner -> "inner" | Bidir.Bound.Outer -> "outer")
+    (match q.protocol with Some p -> Bidir.Protocol.name p | None -> "-")
+    q.weights q.power_db g_ab g_ar g_br
+
 (* Alternate the two front doors so both stay exercised: even request
    indices go as GET with URL parameters, odd as POST /v1/query with a
    JSON body. Both render the same canonical query. *)
@@ -186,7 +195,7 @@ let client_run cfg ~index ~count ~rng ~latency () =
       Unix.sleepf (-.Float.log (1. -. u) /. per_client_rate)
     end;
     let q = Scenarios.pick rng cfg.mix in
-    let key = Query.key q in
+    let key = dump_key q in
     match
       let c = get_conn () in
       let t0 = Unix.gettimeofday () in

@@ -43,12 +43,32 @@ let bound_of_string = function
   | "outer" -> Some Bidir.Bound.Outer
   | _ -> None
 
+(* The cache key: 36 bytes, the IEEE bits of power_db, g_ab, g_ar and
+   g_br (little-endian, bytes 0-31), then kind, bound, and a 16-bit
+   field with the protocol (0 = all, then [Protocol.all] order from 1)
+   above the 10-bit weights (3-513). Equal keys mean equal queries, and
+   the bits keep -0. apart from 0., as the echo does. *)
 let key q =
   let g_ab, g_ar, g_br = q.gains_db in
-  Printf.sprintf "%s|%s|%s|%d|%.17g|%.17g|%.17g|%.17g" (kind_name q.kind)
-    (bound_name q.bound)
-    (match q.protocol with Some p -> Bidir.Protocol.name p | None -> "-")
-    q.weights q.power_db g_ab g_ar g_br
+  let b = Bytes.create 36 in
+  Bytes.set_int64_le b 0 (Int64.bits_of_float q.power_db);
+  Bytes.set_int64_le b 8 (Int64.bits_of_float g_ab);
+  Bytes.set_int64_le b 16 (Int64.bits_of_float g_ar);
+  Bytes.set_int64_le b 24 (Int64.bits_of_float g_br);
+  Bytes.set_uint8 b 32 (match q.kind with Sumrate -> 0 | Select -> 1 | Region -> 2);
+  Bytes.set_uint8 b 33
+    (match q.bound with Bidir.Bound.Inner -> 0 | Bidir.Bound.Outer -> 1);
+  let protocol =
+    match q.protocol with
+    | None -> 0
+    | Some Bidir.Protocol.Dt -> 1
+    | Some Bidir.Protocol.Naive -> 2
+    | Some Bidir.Protocol.Mabc -> 3
+    | Some Bidir.Protocol.Tdbc -> 4
+    | Some Bidir.Protocol.Hbc -> 5
+  in
+  Bytes.set_uint16_le b 34 ((protocol lsl 10) lor q.weights);
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* JSON / parameter parsing                                            *)
@@ -72,90 +92,102 @@ let to_json q =
 
 (* Both front doors (URL parameters and JSON bodies) funnel through the
    same field-by-field builder so they accept exactly the same
-   queries. [get] returns the raw string for a field, or None. *)
-let build ~kind ~(get : string -> (string, string) result option) =
-  let ( let* ) = Result.bind in
-  let float_field name dflt =
-    match get name with
-    | None -> Ok dflt
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "%s: not a number: %s" name s))
-  in
-  let int_field name dflt =
-    match get name with
-    | None -> Ok dflt
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match int_of_string_opt s with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "%s: not an integer: %s" name s))
-  in
-  let* kind =
-    match kind_of_string kind with
-    | Some k -> Ok k
-    | None -> Error (Printf.sprintf "unknown query kind: %s" kind)
-  in
-  let* power_db = float_field "power_db" 10. in
-  let* g_ab = float_field "g_ab" 0. in
-  let* g_ar = float_field "g_ar" 5. in
-  let* g_br = float_field "g_br" 7. in
-  let* bound =
-    match get "bound" with
-    | None -> Ok Bidir.Bound.Inner
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match bound_of_string s with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "bound: expected inner|outer, got %s" s))
-  in
-  let* protocol =
-    match get "protocol" with
-    | None -> Ok None
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match Bidir.Protocol.of_string s with
-      | Some p -> Ok (Some p)
-      | None -> Error (Printf.sprintf "unknown protocol: %s" s))
-  in
-  let* weights = int_field "weights" 33 in
-  make ~kind ~power_db ~gains_db:(g_ab, g_ar, g_br) ~bound ?protocol ~weights
-    ()
+   queries. [get] returns a field as a JSON scalar (URL parameters are
+   [String]s), [Null] when it is absent. Numbers are taken as typed
+   values. [text] is a field's text form (%.17g for a float): what is
+   parsed where no typed reading applies, and what error messages
+   quote. *)
+let text = function
+  | Json.String s -> s
+  | Json.Int i -> string_of_int i
+  | Json.Float f -> Printf.sprintf "%.17g" f
+  | _ -> ""
 
-let known_fields =
-  [ "kind"; "power_db"; "g_ab"; "g_ar"; "g_br"; "bound"; "protocol"; "weights" ]
+exception Rejected of string
+
+let reject fmt = Printf.ksprintf (fun e -> raise_notrace (Rejected e)) fmt
+
+let field get name =
+  match get name with
+  | (Json.Null | Json.String _ | Json.Int _ | Json.Float _) as v -> v
+  | _ -> reject "%s: unsupported type" name
+
+let float_field get name dflt =
+  match field get name with
+  | Json.Null -> dflt
+  | Json.Float f -> f
+  | Json.Int i -> float_of_int i
+  | v -> (
+    match float_of_string_opt (text v) with
+    | Some f -> f
+    | None -> reject "%s: not a number: %s" name (text v))
+
+let int_field get name dflt =
+  match field get name with
+  | Json.Null -> dflt
+  | Json.Int i -> i
+  | v -> (
+    match int_of_string_opt (text v) with
+    | Some i -> i
+    | None -> reject "%s: not an integer: %s" name (text v))
+
+let build ~kind ~(get : string -> Json.t) =
+  try
+    let kind =
+      match kind_of_string kind with
+      | Some k -> k
+      | None -> reject "unknown query kind: %s" kind
+    in
+    let power_db = float_field get "power_db" 10. in
+    let g_ab = float_field get "g_ab" 0. in
+    let g_ar = float_field get "g_ar" 5. in
+    let g_br = float_field get "g_br" 7. in
+    let bound =
+      match field get "bound" with
+      | Json.Null -> Bidir.Bound.Inner
+      | v -> (
+        match bound_of_string (text v) with
+        | Some b -> b
+        | None -> reject "bound: expected inner|outer, got %s" (text v))
+    in
+    let protocol =
+      match field get "protocol" with
+      | Json.Null -> None
+      | v -> (
+        match Bidir.Protocol.of_string (text v) with
+        | Some p -> Some p
+        | None -> reject "unknown protocol: %s" (text v))
+    in
+    let weights = int_field get "weights" 33 in
+    make ~kind ~power_db ~gains_db:(g_ab, g_ar, g_br) ~bound ?protocol ~weights
+      ()
+  with Rejected e -> Error e
+
+let known_field = function
+  | "kind" | "power_db" | "g_ab" | "g_ar" | "g_br" | "bound" | "protocol"
+  | "weights" ->
+    true
+  | _ -> false
 
 let of_params ~kind params =
-  match
-    List.find_opt (fun (k, _) -> not (List.mem k known_fields)) params
-  with
+  match List.find_opt (fun (k, _) -> not (known_field k)) params with
   | Some (k, _) -> Error (Printf.sprintf "unknown parameter: %s" k)
   | None ->
     build ~kind ~get:(fun name ->
-        Option.map (fun v -> Ok v) (List.assoc_opt name params))
+        match Http.assoc name params with Some v -> Json.String v | None -> Json.Null)
 
 let of_json j =
   match j with
   | Json.Obj fields -> (
-    match
-      List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
-    with
+    match List.find_opt (fun (k, _) -> not (known_field k)) fields with
     | Some (k, _) -> Error (Printf.sprintf "unknown field: %s" k)
     | None -> (
-      let get name =
-        match List.assoc_opt name fields with
-        | None | Some Json.Null -> None
-        | Some (Json.String s) -> Some (Ok s)
-        | Some (Json.Int i) -> Some (Ok (string_of_int i))
-        | Some (Json.Float f) -> Some (Ok (Printf.sprintf "%.17g" f))
-        | Some _ -> Some (Error (Printf.sprintf "%s: unsupported type" name))
-      in
+      let get name = Option.value (Http.assoc name fields) ~default:Json.Null in
       match get "kind" with
-      | Some (Ok kind) -> build ~kind ~get
-      | Some (Error e) -> Error e
-      | None -> Error "missing field: kind"))
+      | (Json.String _ | Json.Int _ | Json.Float _) as v ->
+        build ~kind:(text v) ~get
+      | Json.Null -> Error "missing field: kind"
+      | _ -> Error "kind: unsupported type"))
   | _ -> Error "query body must be a JSON object"
 
 (* ------------------------------------------------------------------ *)

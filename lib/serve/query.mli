@@ -45,8 +45,10 @@ val make :
     [3, 513]) and a [Region] query without a protocol. *)
 
 val key : t -> string
-(** Canonical cache key: kind, bound, protocol, weights and the
-    %.17g-rendered parameters — injective on distinct queries. *)
+(** Canonical cache key, 36 bytes of binary: the IEEE bits of
+    [power_db] and the three gains, then kind, bound, protocol and
+    weights. Injective on distinct queries; [-0.] and [0.] get
+    different keys, as they get different echoes. *)
 
 val to_json : t -> Telemetry.Json.t
 (** Canonical echo of the query (used in the response envelope). *)

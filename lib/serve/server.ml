@@ -155,6 +155,8 @@ let run cfg =
     | n -> Buffer.add_subbytes c.buf read_buf 0 n
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c);
+    (* every request this read completes arrived with it *)
+    let arrival = Unix.gettimeofday () in
     let progress = ref c.alive in
     while !progress do
       progress := false;
@@ -171,12 +173,12 @@ let run cfg =
         let payload = route cfg ~served:!served req in
         items :=
           { it_conn = c;
-            it_t0 = Unix.gettimeofday ();
+            it_t0 = arrival;
             it_payload = payload;
             it_close = Http.wants_close req;
           }
           :: !items;
-        progress := c.alive
+        progress := c.alive && Buffer.length c.buf > 0
     done;
     List.rev !items
   in
@@ -210,13 +212,11 @@ let run cfg =
       |> List.filter_map (fun (i, it) ->
              match it.it_payload with Query q -> Some (i, q) | _ -> None)
     in
-    let answers = Hashtbl.create 16 in
+    let answers = Array.make (List.length items) "" in
     List.iter
       (fun chunk ->
         let bodies = Service.respond_batch (List.map snd chunk) in
-        List.iter2
-          (fun (i, _) body -> Hashtbl.replace answers i body)
-          chunk bodies)
+        List.iter2 (fun (i, _) body -> answers.(i) <- body) chunk bodies)
       (chunks cfg.batch_max queries);
     List.iteri
       (fun i it ->
@@ -224,7 +224,7 @@ let run cfg =
           match it.it_payload with
           | Query _ ->
             incr served;
-            (200, Hashtbl.find answers i)
+            (200, answers.(i))
           | Immediate (status, body) -> (status, body)
           | Shutdown_req ->
             stop := true;

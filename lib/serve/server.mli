@@ -17,7 +17,8 @@
     - [POST /shutdown] — answer, flush, exit the loop (when enabled).
 
     Observability: [serve.connections] and [serve.http_errors]
-    counters, per-request wall time in [serve.request_seconds], and —
+    counters, per-request wall time in [serve.request_seconds] (from
+    the read that completed the request to its response written), and —
     when [--live] streaming is on — progress records under the name
     ["serve"] so [bidir top] can watch a running daemon. *)
 

@@ -30,6 +30,41 @@ let eval_body q =
   | exception e ->
     envelope q ("error", Json.String (Printexc.to_string e))
 
+(* The miss path of [respond_batch]: evaluate the unique misses among
+   the probes in one pool fan-out, store them, answer every query. *)
+let answer_misses probed =
+  (* unique misses in first-seen order; duplicates within the batch
+     ride the first occurrence's evaluation *)
+  let seen = Hashtbl.create 16 in
+  let misses =
+    List.filter_map
+      (fun (k, q, r) ->
+        match r with
+        | Some _ -> None
+        | None ->
+          if Hashtbl.mem seen k then None
+          else begin
+            Hashtbl.add seen k ();
+            Some (k, q)
+          end)
+      probed
+  in
+  Telemetry.Metrics.add cache_misses_c (List.length misses);
+  let miss_arr = Array.of_list misses in
+  let bodies = Engine.Pool.map_array (fun (_, q) -> eval_body q) miss_arr in
+  (* [fresh] also serves duplicates when the memo switch is off and
+     [put] is a no-op *)
+  let fresh = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (k, _) ->
+      Engine.Memo.put cache k bodies.(i);
+      Hashtbl.replace fresh k bodies.(i))
+    miss_arr;
+  List.map
+    (fun (k, _, r) ->
+      match r with Some body -> body | None -> Hashtbl.find fresh k)
+    probed
+
 let respond_batch qs =
   let n = List.length qs in
   if n = 0 then []
@@ -45,47 +80,13 @@ let respond_batch qs =
         qs
     in
     let hits =
-      List.length (List.filter (fun (_, _, r) -> r <> None) probed)
+      List.fold_left
+        (fun acc (_, _, r) -> if Option.is_some r then acc + 1 else acc)
+        0 probed
     in
     Telemetry.Metrics.add cache_hits_c hits;
-    (* unique misses in first-seen order; duplicates within the batch
-       ride the first occurrence's evaluation *)
-    let seen = Hashtbl.create 16 in
-    let misses =
-      List.filter_map
-        (fun (k, q, r) ->
-          match r with
-          | Some _ -> None
-          | None ->
-            if Hashtbl.mem seen k then None
-            else begin
-              Hashtbl.add seen k ();
-              Some (k, q)
-            end)
-        probed
-    in
-    Telemetry.Metrics.add cache_misses_c (List.length misses);
-    let miss_arr = Array.of_list misses in
-    let bodies = Engine.Pool.map_array (fun (_, q) -> eval_body q) miss_arr in
-    (* [fresh] also serves duplicates when the memo switch is off and
-       [put] is a no-op *)
-    let fresh = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (k, _) ->
-        Engine.Memo.put cache k bodies.(i);
-        Hashtbl.replace fresh k bodies.(i))
-      miss_arr;
-    List.map
-      (fun (k, q, r) ->
-        match r with
-        | Some body -> body
-        | None -> (
-          match Hashtbl.find_opt fresh k with
-          | Some body -> body
-          | None ->
-            (* unreachable: every miss key was evaluated above *)
-            eval_body q))
-      probed
+    if hits = n then List.map (fun (_, _, r) -> Option.get r) probed
+    else answer_misses probed
   end
 
 let respond q = List.hd (respond_batch [ q ])

@@ -99,10 +99,9 @@ let parse input =
       advance ()
     done
   in
+  let at c = !pos < n && input.[!pos] = c in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
+    if at c then advance () else fail (Printf.sprintf "expected %C" c)
   in
   let literal word value =
     let l = String.length word in
@@ -130,9 +129,10 @@ let parse input =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
   in
-  let parse_string () =
-    expect '"';
+  (* the rest of a string whose unescaped prefix starts at [start] *)
+  let parse_escaped start =
     let buf = Buffer.create 16 in
+    Buffer.add_substring buf input start (!pos - start);
     let rec loop () =
       if !pos >= n then fail "unterminated string";
       let c = input.[!pos] in
@@ -205,6 +205,19 @@ let parse input =
     in
     loop ()
   in
+  (* a string without escapes is copied with one [String.sub] *)
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    while !pos < n && input.[!pos] <> '"' && input.[!pos] <> '\\' do
+      advance ()
+    done;
+    if at '"' then begin
+      advance ();
+      String.sub input start (!pos - 1 - start)
+    end
+    else parse_escaped start
+  in
   let parse_number () =
     let start = !pos in
     (* a JSON number starts with '-' or a digit; '+', '.', 'e' may only
@@ -248,14 +261,14 @@ let parse input =
     | Some '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if at ']' then begin
         advance ();
         List []
       end
       else begin
         let items = ref [ parse_value () ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
           items := parse_value () :: !items;
           skip_ws ()
@@ -266,7 +279,7 @@ let parse input =
     | Some '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if at '}' then begin
         advance ();
         Obj []
       end
@@ -281,7 +294,7 @@ let parse input =
         in
         let fields = ref [ field () ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while at ',' do
           advance ();
           fields := field () :: !fields;
           skip_ws ()

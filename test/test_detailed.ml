@@ -206,6 +206,32 @@ let test_detailed_matches_runner_fading_fixed () =
         (Netsim.Metrics.delivered_bits r2.Netsim.Runner.metrics))
     Bidir.Protocol.all
 
+let test_detailed_negative_duration () =
+  (* an LP optimum can carry a phase duration of -1e-16 (HBC's MAC
+     phase at 10 dB, solved cold, comes out at -6.75e-17): the event
+     simulator clamps it to an empty phase, and agrees with the block
+     runner *)
+  let s = Bidir.Gaussian.scenario ~power_db:10. ~gains:paper_gains in
+  let opt = Bidir.Optimize.sum_rate Bidir.Protocol.Hbc Bidir.Bound.Inner s in
+  let deltas = Array.copy opt.Bidir.Optimize.deltas in
+  deltas.(2) <- -6.75e-17;
+  let cfg =
+    { (Netsim.Runner.default_config ~protocol:Bidir.Protocol.Hbc ~power_db:10.
+         ~gains:paper_gains ~blocks:20 ~block_symbols:1_000 ())
+      with
+      Netsim.Runner.mode =
+        Netsim.Runner.Fixed
+          { deltas; ra = opt.Bidir.Optimize.ra *. 0.5; rb = opt.Bidir.Optimize.rb *. 0.5 };
+    }
+  in
+  let r1 = Netsim.Runner.run cfg in
+  let r2 = Netsim.Detailed.run cfg in
+  Alcotest.(check int) "same delivered bits"
+    (Netsim.Metrics.delivered_bits r1.Netsim.Runner.metrics)
+    (Netsim.Metrics.delivered_bits r2.Netsim.Runner.metrics);
+  Alcotest.(check int) "zero errors" 0
+    (Netsim.Metrics.bit_errors r2.Netsim.Runner.metrics)
+
 let test_detailed_clock () =
   let cfg =
     Netsim.Runner.default_config ~protocol:Bidir.Protocol.Hbc ~power_db:5.
@@ -310,6 +336,8 @@ let suites =
           test_detailed_matches_runner_static;
         Alcotest.test_case "matches runner (fading, fixed)" `Quick
           test_detailed_matches_runner_fading_fixed;
+        Alcotest.test_case "negative round-off duration" `Quick
+          test_detailed_negative_duration;
         Alcotest.test_case "virtual clock" `Quick test_detailed_clock;
       ] );
     ( "netsim.arq",
