@@ -259,13 +259,13 @@ let kernel_warm_solves () =
             : Linprog.Solver.verdict))
   done;
   let p50, _, p99 = Telemetry.Histogram.percentiles lp_seconds in
-  (* allocations per warm solve: one Gc pair around a whole untimed
-     sweep (the read itself boxes ~a dozen bytes, amortised to zero by
-     the integer division over 129 solves) *)
-  let b0 = Gc.allocated_bytes () in
-  sweep ();
+  (* allocations per warm solve: the exact [linprog.alloc_bytes]
+     accounting over a whole untimed sweep *)
+  let alloc_bytes = Telemetry.Metrics.counter "linprog.alloc_bytes" in
+  let b0 = Telemetry.Metrics.value alloc_bytes in
+  Telemetry.Resource.with_enabled true sweep;
   let alloc_per_warm_solve =
-    int_of_float (Float.max 0. (Gc.allocated_bytes () -. b0)) / weights
+    (Telemetry.Metrics.value alloc_bytes - b0) / weights
   in
   Printf.printf "warm solve: p50=%.3gs p99=%.3gs, %d alloc B/solve\n" p50 p99
     alloc_per_warm_solve;

@@ -69,10 +69,6 @@ let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
    allocation footprint. *)
 let alloc_bytes_counter = Telemetry.Metrics.counter "linprog.alloc_bytes"
 
-let record_alloc b0 =
-  Telemetry.Metrics.add alloc_bytes_counter
-    (int_of_float (Float.max 0. (Gc.allocated_bytes () -. b0)))
-
 type status = Sat | Unsat
 
 type verdict = Optimal | Unbounded | Infeasible
@@ -412,37 +408,26 @@ let reoptimize_into_impl t ~c ~x =
       Optimal)
 
 (* Allocation-accounting wrappers around the entry points. The
-   disabled path is the plain call — one atomic load, no closure. *)
+   disabled path is the plain call — one atomic load, no closure. An
+   entry point that raises (only on caller errors, e.g. arity) charges
+   nothing. *)
 let create ~nvars ~constrs =
   if not (Telemetry.Resource.enabled ()) then create_impl ~nvars ~constrs
-  else begin
-    let b0 = Gc.allocated_bytes () in
-    Fun.protect
-      ~finally:(fun () -> record_alloc b0)
-      (fun () -> create_impl ~nvars ~constrs)
-  end
+  else
+    Telemetry.Resource.charge_alloc alloc_bytes_counter (fun () ->
+        create_impl ~nvars ~constrs)
 
 let rebuild t ~constrs =
   if not (Telemetry.Resource.enabled ()) then rebuild_impl t ~constrs
-  else begin
-    let b0 = Gc.allocated_bytes () in
-    Fun.protect
-      ~finally:(fun () -> record_alloc b0)
-      (fun () -> rebuild_impl t ~constrs)
-  end
+  else
+    Telemetry.Resource.charge_alloc alloc_bytes_counter (fun () ->
+        rebuild_impl t ~constrs)
 
-(* No [Fun.protect] here: the two closures it would allocate are the
-   difference between ~0 and ~60 bytes per accounted warm solve. The
-   impl only raises on caller errors (arity), where losing one
-   accounting delta is harmless. *)
 let reoptimize_into t ~c ~x =
   if not (Telemetry.Resource.enabled ()) then reoptimize_into_impl t ~c ~x
-  else begin
-    let b0 = Gc.allocated_bytes () in
-    let r = reoptimize_into_impl t ~c ~x in
-    record_alloc b0;
-    r
-  end
+  else
+    Telemetry.Resource.charge_alloc alloc_bytes_counter (fun () ->
+        reoptimize_into_impl t ~c ~x)
 
 let feasible t =
   let sat = t.status = Sat in

@@ -1,9 +1,26 @@
 (* GC and allocation accounting. All numbers come from the runtime's
-   own monotone counters ([Gc.quick_stat] reads live counters without
-   walking the heap; [Gc.allocated_bytes] is this domain's cumulative
-   allocation), so sampling is cheap enough for per-span use — but it
-   is still gated behind [enabled] so the default cost of the layer is
-   one atomic load at every probe site. *)
+   own monotone counters ([Gc.quick_stat] and [Gc.minor_words] read
+   this domain's counters without walking the heap), so sampling is
+   cheap enough for per-span use — but it is still gated behind
+   [enabled] so the default cost of the layer is one atomic load at
+   every probe site.
+
+   Allocated bytes are never taken from [Gc.allocated_bytes]: on OCaml
+   5 its minor term ([Gc.counters]) only advances when a minor
+   collection empties the minor heap. A scope without a collection
+   then sees none of its small allocations, and a scope that a
+   collection lands in is charged with everything the heap held (up to
+   ~1.8 MB of other code's allocation), so the count depended on where
+   collections fell. The live [Gc.minor_words] plus the major words
+   net of promotions is exact at every instant. *)
+
+let word_bytes = float_of_int (Sys.word_size / 8)
+
+(* Words allocated directly on the major heap so far: promotions add
+   to both terms at the same collection, so they cancel. *)
+let major_net_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
 
 type sample = {
   s_minor_words : float;
@@ -43,7 +60,9 @@ let sample () =
     s_promoted_words = q.Gc.promoted_words;
     s_minor_collections = q.Gc.minor_collections;
     s_major_collections = q.Gc.major_collections;
-    s_alloc_bytes = Gc.allocated_bytes ();
+    (* [quick_stat]'s major words lag too (they fold in at a major
+       slice); [major_net_words] reads the live ones *)
+    s_alloc_bytes = (Gc.minor_words () +. major_net_words ()) *. word_bytes;
   }
 
 let delta_since s0 =
@@ -88,6 +107,18 @@ let add_to_registry d =
 let account f =
   let s0 = sample () in
   Fun.protect ~finally:(fun () -> add_to_registry (delta_since s0)) f
+
+let charge_alloc counter f =
+  (* the minor counter is read last on entry and first on exit, so the
+     probes' own boxes fall outside the window; [minor0] stays an
+     unboxed float *)
+  let major0 = major_net_words () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor = Gc.minor_words () -. minor0 in
+  Metrics.add counter
+    (int_of_float ((minor +. major_net_words () -. major0) *. word_bytes));
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Span argument rendering                                             *)

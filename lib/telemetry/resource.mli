@@ -1,7 +1,7 @@
 (** GC and allocation accounting for resource attribution.
 
     Probes read the runtime's own monotone counters ([Gc.quick_stat],
-    [Gc.allocated_bytes]) — no heap walk, so a sample costs tens of
+    [Gc.minor_words]) — no heap walk, so a sample costs tens of
     nanoseconds — but all call sites are still gated behind {!enabled}
     so the layer is a single atomic load and branch while it stays off
     (the same contract as {!Span}).
@@ -35,7 +35,10 @@ type delta = {
   promoted_words : float;     (** words promoted minor → major *)
   minor_collections : int;
   major_collections : int;    (** completed major cycles *)
-  alloc_bytes : float;        (** total bytes allocated ([Gc.allocated_bytes] delta) *)
+  alloc_bytes : float;
+  (** total bytes allocated: minor words plus major words net of
+      promotions. Not a [Gc.allocated_bytes] delta, whose minor term
+      only advances at minor collections on OCaml 5. *)
 }
 
 val delta_since : sample -> delta
@@ -54,6 +57,14 @@ val account : (unit -> 'a) -> 'a
     (also on exceptions). The counters are registered at module
     initialisation, so they appear (as 0) in every metrics dump.
     Unconditional; callers gate on {!enabled}. *)
+
+val charge_alloc : Metrics.counter -> (unit -> 'a) -> 'a
+(** [charge_alloc counter f] runs [f] and adds the bytes this domain
+    allocated during the call to [counter]: exact and independent of
+    where collections land, so a deterministic workload charges the
+    same count on every run, and [f] allocating nothing charges 0 (the
+    probes' own boxes fall outside the window). Nothing is charged if
+    [f] raises. Unconditional; callers gate on {!enabled}. *)
 
 val span_args : delta -> (string * Json.t) list
 (** Render a delta as span-event arguments ([gc.minor_words], …). *)

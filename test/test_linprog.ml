@@ -531,14 +531,21 @@ let prop_reoptimize_into_matches_oracle_mixed =
       let c = [| c1; c2 |] in
       matches_oracle rows c (solve_max c (mixed_constrs rows)))
 
+(* Bytes [f] charges to [linprog.alloc_bytes] with resource tracking
+   on — the production accounting path, window by window. *)
+let lp_alloc_bytes f =
+  let counter = Telemetry.Metrics.counter "linprog.alloc_bytes" in
+  Telemetry.Resource.with_enabled true @@ fun () ->
+  let before = Telemetry.Metrics.value counter in
+  f ();
+  Telemetry.Metrics.value counter - before
+
 (* The headline property of the flat kernel: a warm [reoptimize_into]
    allocates zero words — tableau, scratch, pricing, telemetry and the
-   solution hand-off all live in preallocated buffers. The only
-   allowance is the boxing inside [Gc.allocated_bytes] itself (~a
-   dozen bytes for the measurement pair), so the budget is under two
-   words PER SWEEP, not per solve — a single heap block anywhere on
-   the warm path of any of the 64 solves fails it (the historical
-   nested-array engine allocated ~59 B/solve). *)
+   solution hand-off all live in preallocated buffers. The accounting
+   is exact, so the budget is 0 bytes across the whole sweep: a single
+   heap block anywhere on the warm path of any of the 64 solves fails
+   it (the historical nested-array engine allocated ~59 B/solve). *)
 let test_reoptimize_into_zero_alloc () =
   let nvars = 5 and nrows = 7 and n = 64 in
   let rng = Prob.Rng.create ~seed:99 in
@@ -559,14 +566,55 @@ let test_reoptimize_into_zero_alloc () =
   for i = 0 to n - 1 do
     ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
   done;
-  let b0 = Gc.allocated_bytes () in
-  for i = 0 to n - 1 do
-    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
-  done;
-  let delta = Gc.allocated_bytes () -. b0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f bytes allocated across %d warm solves" delta n)
-    true (delta < 32.)
+  let bytes =
+    lp_alloc_bytes (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
+        done)
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "bytes allocated across %d warm solves" n)
+    0 bytes
+
+(* [linprog.alloc_bytes] is a gated budget, so a fixed LP sequence must
+   charge the same bytes wherever minor collections fall. On a small
+   minor heap, replay one create/solve/rebuild sequence after a minor
+   collection plus every amount of garbage (in 8-word blocks) up to the
+   heap's size, so that across the replays a collection lands at every
+   allocation inside the sequence's accounted entry points. *)
+let test_alloc_bytes_independent_of_gc_phase () =
+  let rows scale =
+    [ c_ [| 1.; 1.; 1. |] le (4. *. scale);
+      c_ [| 1.; 3.; 0. |] le (6. *. scale);
+      c_ [| 2.; 0.; 1. |] ge 1.;
+    ]
+  in
+  let c = [| 1.; 2.; 1. |] and x = Array.make 4 0. in
+  let sequence () =
+    let s = Linprog.Solver.create ~nvars:3 ~constrs:(rows 1.) in
+    for i = 1 to 4 do
+      ignore (Linprog.Solver.reoptimize_into s ~c ~x);
+      Linprog.Solver.rebuild s ~constrs:(rows (1. +. float_of_int i))
+    done
+  in
+  let replay ~blocks =
+    Gc.minor ();
+    for _ = 1 to blocks do
+      ignore (Sys.opaque_identity (Array.make 7 0))
+    done;
+    lp_alloc_bytes sequence
+  in
+  let heap_words = 8192 in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = heap_words };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+  let reference = replay ~blocks:0 in
+  Alcotest.(check bool) "the sequence allocates" true (reference > 0);
+  for blocks = 1 to heap_words / 8 do
+    Alcotest.(check int)
+      (Printf.sprintf "bytes after %d garbage blocks" blocks)
+      reference (replay ~blocks)
+  done
 
 (* [Solver.pivots] is the instance's own share of [linprog.pivots]:
    equal to the counter's delta when it is the only solver running, and
@@ -683,6 +731,8 @@ let suites =
           test_solver_stress_basis_carry;
         Alcotest.test_case "warm reoptimize_into allocates zero words" `Quick
           test_reoptimize_into_zero_alloc;
+        Alcotest.test_case "alloc_bytes independent of GC phase" `Quick
+          test_alloc_bytes_independent_of_gc_phase;
         Alcotest.test_case "pivots counts only its own solves" `Quick
           test_solver_pivots_own_count;
       ] );
