@@ -372,7 +372,8 @@ let region_cmd =
       (fun (p : Numerics.Vec2.t) ->
         Printf.printf "  Ra=%.4f Rb=%.4f\n" p.Numerics.Vec2.x p.Numerics.Vec2.y)
       pts;
-    Printf.printf "area: %.4f\n\n" (Bidir.Rate_region.area b);
+    Printf.printf "area: %.4f\n\n"
+      Numerics.Polygon.(area (down_closure pts));
     let series =
       [ { Chart.Line_chart.label =
             Bidir.Protocol.name protocol ^ " " ^ Bidir.Bound.kind_name kind;

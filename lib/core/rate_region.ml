@@ -22,41 +22,6 @@ let lp_constraints (b : Bound.t) =
   in
   (nvars, simplex_row :: List.map of_term b.Bound.terms)
 
-(* Canonical cache key for a bound system: protocol, bound kind and the
-   exact (hex-rendered, lossless) constraint coefficients. Two bounds
-   built from the same protocol/kind/scenario produce the same key, so
-   repeated sweeps over overlapping scenarios share LP solutions. *)
-let bound_key (b : Bound.t) =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf (Protocol.name b.Bound.protocol);
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (Bound.kind_name b.Bound.bound_kind);
-  Printf.bprintf buf "|%d" b.Bound.num_phases;
-  List.iter
-    (fun (t : Bound.term) ->
-      Printf.bprintf buf "|%h,%h" t.Bound.ca t.Bound.cb;
-      Array.iter (fun c -> Printf.bprintf buf ",%h" c) t.Bound.per_phase)
-    b.Bound.terms;
-  Buffer.contents buf
-
-let weighted_cache : (string * float * float, opt_result) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.weighted" ()
-
-let feasibility_cache : (string * float * float, bool) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.feasibility" ()
-
-(* Boundary sweeps and their down-closures are cached whole: the warm
-   path of a figure pass is dominated not by LP solves (those hit
-   [weighted_cache]) but by the sweep's dedup/sort and the convex
-   geometry, so caching the finished point lists is what makes repeat
-   passes cheap. Both store immutable [Vec2.t] lists, so hits can share
-   structure safely. *)
-let boundary_cache : (string * int, Numerics.Vec2.t list) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.boundary" ()
-
-let polygon_cache : (string * int, Numerics.Vec2.t list) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.polygon" ()
-
 (* --- per-domain warm-start solver slots ---------------------------- *)
 
 (* One [Linprog.Solver.t] per (LP shape, domain): the shape — weighted
@@ -67,26 +32,25 @@ let polygon_cache : (string * int, Numerics.Vec2.t list) Engine.Memo.t =
    rebuilds in place and carries the optimal basis across. Instances
    live in [Domain.DLS], so pool workers warm-start independently and
    no instance is ever shared between domains (the Solver ownership
-   contract). An epoch bumped by [clear_cache] / [Memo.clear_all]
-   invalidates every domain's slots, so "cold cache" runs rebuild their
-   solvers from scratch. *)
+   contract). An epoch bumped by [Engine.Memo.clear_all] invalidates
+   every domain's slots, so "cold cache" runs rebuild their solvers from
+   scratch. *)
 
 let solver_epoch = Atomic.make 0
 
-let bump_solver_epoch () = Atomic.incr solver_epoch
-
-let () = Engine.Memo.on_clear_all bump_solver_epoch
+let () = Engine.Memo.on_clear_all (fun () -> Atomic.incr solver_epoch)
 
 type solver_slot = {
   solver : Linprog.Solver.t;
-  mutable loaded : string; (* bound key of the system currently loaded *)
+  mutable loaded : Bound.t; (* the bound system currently loaded *)
+  point : float array; (* a probe slot's loaded (ra, rb); unused otherwise *)
   c : float array; (* objective buffer, [nvars] slots *)
   x : float array; (* solution buffer for [reoptimize_into], [nvars + 1] *)
 }
 
 type slot_table = {
   mutable epoch : int;
-  slots : (string, solver_slot) Hashtbl.t;
+  slots : (int, solver_slot) Hashtbl.t;
 }
 
 let slots_key =
@@ -102,53 +66,88 @@ let domain_slots () =
   end;
   t.slots
 
-(* Fetch this domain's slot for [shape], loading [constrs b] when the
-   slot holds a different bound system (or none yet). The slot owns the
-   [c]/[x] buffers its solver's [reoptimize_into] runs against, so a
-   warm sweep iteration allocates nothing on the solve path. *)
-let slot_for ~shape ~key ~nvars b constrs =
+(* The slot table's key: the LP shape packed into one int. *)
+let shape ~probe (b : Bound.t) =
+  (((b.Bound.num_phases lsl 16) lor List.length b.Bound.terms) lsl 1)
+  lor Bool.to_int probe
+
+(* "Is this system already loaded?" without rendering anything:
+   physical equality first, then the coefficients bit for bit, so -0.
+   and 0. (and every distinct NaN payload) stay distinct. Protocol,
+   kind and labels do not enter the LP. Allocation-free only while
+   [same_bits] is inlined: called, it boxes both floats (80 words per
+   HBC compare). *)
+let[@inline] same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let rec same_floats_from a b i =
+  i = Array.length a || (same_bits a.(i) b.(i) && same_floats_from a b (i + 1))
+
+let same_term (s : Bound.term) (t : Bound.term) =
+  same_bits s.Bound.ca t.Bound.ca
+  && same_bits s.Bound.cb t.Bound.cb
+  && Array.length s.Bound.per_phase = Array.length t.Bound.per_phase
+  && same_floats_from s.Bound.per_phase t.Bound.per_phase 0
+
+let same_system (a : Bound.t) (b : Bound.t) =
+  a == b
+  || a.Bound.num_phases = b.Bound.num_phases
+     && List.equal same_term a.Bound.terms b.Bound.terms
+
+(* Fetch this domain's slot for [b]'s shape, loading [constrs b] when the
+   slot holds a different system (or none yet). A probe's system is the
+   bound plus the probed point [(ra, rb)]; weighted slots pass 0. for
+   both. The slot owns the [c]/[x] buffers its solver's
+   [reoptimize_into] runs against, so a warm sweep iteration allocates
+   nothing on the solve path. *)
+let slot_for ~probe ~nvars b ~ra ~rb constrs =
   let slots = domain_slots () in
-  match Hashtbl.find_opt slots shape with
-  | Some s ->
-    if s.loaded <> key then begin
+  let key = shape ~probe b in
+  match Hashtbl.find slots key with
+  | s ->
+    if
+      not
+        (same_system s.loaded b
+        && same_bits s.point.(0) ra
+        && same_bits s.point.(1) rb)
+    then begin
       Linprog.Solver.rebuild s.solver ~constrs:(constrs b);
-      s.loaded <- key
+      s.loaded <- b;
+      s.point.(0) <- ra;
+      s.point.(1) <- rb
     end;
     s
-  | None ->
+  | exception Not_found ->
     let solver = Linprog.Solver.create ~nvars ~constrs:(constrs b) in
     let s =
       { solver;
-        loaded = key;
+        loaded = b;
+        point = [| ra; rb |];
         c = Array.make nvars 0.;
         x = Array.make (nvars + 1) 0.;
       }
     in
-    Hashtbl.replace slots shape s;
+    Hashtbl.replace slots key s;
     s
 
-let clear_cache () =
-  Engine.Memo.clear weighted_cache;
-  Engine.Memo.clear feasibility_cache;
-  Engine.Memo.clear boundary_cache;
-  Engine.Memo.clear polygon_cache;
-  bump_solver_epoch ()
-
-(* Latency of every LP actually solved (weighted optima and
-   feasibility probes alike); memo hits never reach this. *)
+(* Latency of every LP solved (weighted optima and feasibility probes
+   alike). *)
 let lp_seconds = Telemetry.Metrics.histogram "lp.solve_seconds"
 
-let solve_weighted ~key b ~wa ~wb =
+let weighted_constrs b = snd (lp_constraints b)
+
+let max_weighted b ~wa ~wb =
+  if wa < 0. || wb < 0. || wa +. wb <= 0. then
+    invalid_arg "Rate_region.max_weighted: bad weights";
   Engine.Stats.record_lp_solve ();
   Telemetry.Span.with_span ~cat:"lp" "lp.solve"
   @@ fun () ->
   Telemetry.Metrics.time lp_seconds
   @@ fun () ->
   let nvars = 2 + b.Bound.num_phases in
-  let shape =
-    Printf.sprintf "w|%d|%d" b.Bound.num_phases (List.length b.Bound.terms)
+  let slot =
+    slot_for ~probe:false ~nvars b ~ra:0. ~rb:0. weighted_constrs
   in
-  let slot = slot_for ~shape ~key ~nvars b (fun b -> snd (lp_constraints b)) in
   let c = slot.c in
   Array.fill c 0 nvars 0.;
   c.(0) <- wa;
@@ -162,21 +161,6 @@ let solve_weighted ~key b ~wa ~wb =
   | Linprog.Solver.Infeasible ->
     failwith "Rate_region.max_weighted: infeasible bound system"
 
-(* [~key] must be [bound_key b]; sweeps compute it once and reuse it
-   across their LPs — building the key is cheap next to a solve but not
-   next to a cache hit. *)
-let max_weighted_keyed ~key b ~wa ~wb =
-  if wa < 0. || wb < 0. || wa +. wb <= 0. then
-    invalid_arg "Rate_region.max_weighted: bad weights";
-  let r =
-    Engine.Memo.find_or_add weighted_cache (key, wa, wb) (fun () ->
-        solve_weighted ~key b ~wa ~wb)
-  in
-  (* fresh deltas so callers can never mutate the cached schedule *)
-  { r with deltas = Array.copy r.deltas }
-
-let max_weighted b ~wa ~wb = max_weighted_keyed ~key:(bound_key b) b ~wa ~wb
-
 (* A tiny secondary weight makes the corner lexicographic without
    perturbing the primary optimum at these problem scales. *)
 let lex_eps = 1e-7
@@ -189,12 +173,10 @@ let lex_eps = 1e-7
    history-independent; the sum itself is unaffected. *)
 let max_sum_rate b = max_weighted b ~wa:(1. +. lex_eps) ~wb:1.
 
-let max_ra_keyed ~key b = max_weighted_keyed ~key b ~wa:1. ~wb:lex_eps
-let max_rb_keyed ~key b = max_weighted_keyed ~key b ~wa:lex_eps ~wb:1.
-let max_ra b = max_ra_keyed ~key:(bound_key b) b
-let max_rb b = max_rb_keyed ~key:(bound_key b) b
+let max_ra b = max_weighted b ~wa:1. ~wb:lex_eps
+let max_rb b = max_weighted b ~wa:lex_eps ~wb:1.
 
-let probe_achievable ~key b ~ra ~rb =
+let probe_achievable b ~ra ~rb =
   Engine.Stats.record_lp_solve ();
   Telemetry.Span.with_span ~cat:"lp" "lp.probe"
   @@ fun () ->
@@ -215,23 +197,15 @@ let probe_achievable ~key b ~ra ~rb =
     in
     simplex_row :: List.map of_term b.Bound.terms
   in
-  (* probes shift the right-hand side per (ra, rb), so every probe
-     rebuilds its slot (the loaded key pins the probed point too). When
-     the carried basis survives the new rhs the rebuild skips phase 1
-     and [feasible] answers immediately; otherwise this is the
-     documented case where phase 1 re-runs. *)
-  let shape = Printf.sprintf "p|%d|%d" l (List.length b.Bound.terms) in
-  let probe_key = Printf.sprintf "%s|%h|%h" key ra rb in
-  let slot = slot_for ~shape ~key:probe_key ~nvars:l b constrs in
+  (* probes shift the right-hand side per (ra, rb), so a probe at a new
+     point rebuilds its slot. When the carried basis survives the new
+     rhs the rebuild skips phase 1 and [feasible] answers immediately;
+     otherwise this is the documented case where phase 1 re-runs. *)
+  let slot = slot_for ~probe:true ~nvars:l b ~ra ~rb constrs in
   Linprog.Solver.feasible slot.solver
 
-let achievable_keyed ~key b ~ra ~rb =
-  if ra < -1e-12 || rb < -1e-12 then false
-  else
-    Engine.Memo.find_or_add feasibility_cache (key, ra, rb) (fun () ->
-        probe_achievable ~key b ~ra ~rb)
-
-let achievable b ~ra ~rb = achievable_keyed ~key:(bound_key b) b ~ra ~rb
+let achievable b ~ra ~rb =
+  if ra < -1e-12 || rb < -1e-12 then false else probe_achievable b ~ra ~rb
 
 (* Reusable per-domain flat buffers: the sweep's weight vector and the
    boundary's deduplicated (x, y) coordinate pairs are staged on
@@ -253,7 +227,7 @@ let scratch key ~cap =
    order, then the Ra corner. The interior LPs fan out over the engine
    pool; chunked-by-index scheduling keeps the order — and therefore the
    downstream dedup — independent of the domain count. *)
-let sweep_results ~caller ~key ~weights b =
+let sweep_results ~caller ~weights b =
   if weights < 2 then invalid_arg (caller ^ ": weights < 2");
   let wbuf = scratch weight_scratch ~cap:weights in
   let denom = float_of_int (weights + 1) in
@@ -262,11 +236,9 @@ let sweep_results ~caller ~key ~weights b =
   done;
   let interior = List.init weights (Float.Array.unsafe_get wbuf) in
   let sweep =
-    Engine.Pool.map
-      (fun w -> max_weighted_keyed ~key b ~wa:w ~wb:(1. -. w))
-      interior
+    Engine.Pool.map (fun w -> max_weighted b ~wa:w ~wb:(1. -. w)) interior
   in
-  (max_rb_keyed ~key b :: List.rev sweep) @ [ max_ra_keyed ~key b ]
+  (max_rb b :: List.rev sweep) @ [ max_ra b ]
 
 (* Keep-first dedup of the sweep's rate points on the flat pair buffer:
    slot [2i]/[2i+1] hold the i-th kept (x, y). The distance test is the
@@ -295,47 +267,37 @@ let dedup_into buf results =
 
 let default_weights = 65
 
-let boundary_keyed ~key ?(weights = default_weights) b =
-  Engine.Memo.find_or_add boundary_cache (key, weights) (fun () ->
-      Telemetry.Span.with_span ~cat:"region" "region.boundary"
-        ~args:[ ("weights", Telemetry.Json.Int weights) ]
-      @@ fun () ->
-      let all =
-        sweep_results ~caller:"Rate_region.boundary" ~key ~weights b
-      in
-      let buf = scratch point_scratch ~cap:(2 * List.length all) in
-      let kept = dedup_into buf all in
-      List.init kept (fun i ->
-          Numerics.Vec2.make
-            (Float.Array.unsafe_get buf (2 * i))
-            (Float.Array.unsafe_get buf ((2 * i) + 1)))
-      |> List.sort (fun (p : Numerics.Vec2.t) (q : Numerics.Vec2.t) ->
-             compare (p.Numerics.Vec2.x, p.Numerics.Vec2.y)
-               (q.Numerics.Vec2.x, q.Numerics.Vec2.y)))
+let boundary ?(weights = default_weights) b =
+  Telemetry.Span.with_span ~cat:"region" "region.boundary"
+    ~args:[ ("weights", Telemetry.Json.Int weights) ]
+  @@ fun () ->
+  let all = sweep_results ~caller:"Rate_region.boundary" ~weights b in
+  let buf = scratch point_scratch ~cap:(2 * List.length all) in
+  let kept = dedup_into buf all in
+  List.init kept (fun i ->
+      Numerics.Vec2.make
+        (Float.Array.unsafe_get buf (2 * i))
+        (Float.Array.unsafe_get buf ((2 * i) + 1)))
+  |> List.sort (fun (p : Numerics.Vec2.t) (q : Numerics.Vec2.t) ->
+         compare (p.Numerics.Vec2.x, p.Numerics.Vec2.y)
+           (q.Numerics.Vec2.x, q.Numerics.Vec2.y))
 
-let boundary ?weights b = boundary_keyed ~key:(bound_key b) ?weights b
-
-let polygon_keyed ~key ?(weights = default_weights) b =
-  Engine.Memo.find_or_add polygon_cache (key, weights) (fun () ->
-      Telemetry.Span.with_span ~cat:"region" "region.polygon" (fun () ->
-          Numerics.Polygon.down_closure (boundary_keyed ~key ~weights b)))
-
-let polygon ?weights b = polygon_keyed ~key:(bound_key b) ?weights b
+let polygon ?weights b =
+  Telemetry.Span.with_span ~cat:"region" "region.polygon" (fun () ->
+      Numerics.Polygon.down_closure (boundary ?weights b))
 
 let area ?weights b = Numerics.Polygon.area (polygon ?weights b)
 
 let contains_region ?weights big small =
-  let key = bound_key big in
   List.for_all
     (fun (p : Numerics.Vec2.t) ->
-      achievable_keyed ~key big ~ra:p.Numerics.Vec2.x ~rb:p.Numerics.Vec2.y)
+      achievable big ~ra:p.Numerics.Vec2.x ~rb:p.Numerics.Vec2.y)
     (boundary ?weights small)
 
 let distance_outside b ~ra ~rb =
-  let key = bound_key b in
-  if achievable_keyed ~key b ~ra ~rb then 0.
+  if achievable b ~ra ~rb then 0.
   else
-    Numerics.Polygon.distance_to_boundary (polygon_keyed ~key b)
+    Numerics.Polygon.distance_to_boundary (polygon b)
       (Numerics.Vec2.make ra rb)
 
 let max_product ?weights b =
@@ -394,8 +356,7 @@ let binding_terms ?(eps = 1e-7) (b : Bound.t) r =
 
 let boundary_with_schedules ?(weights = default_weights) b =
   let all =
-    sweep_results ~caller:"Rate_region.boundary_with_schedules"
-      ~key:(bound_key b) ~weights b
+    sweep_results ~caller:"Rate_region.boundary_with_schedules" ~weights b
   in
   (* dedup by rate pair, keeping the first schedule seen for it *)
   let close a b' =

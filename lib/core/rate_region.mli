@@ -30,15 +30,9 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
     Raises [Failure] if the LP misbehaves (cannot happen for bound
     systems built by {!Gaussian} — they are bounded and feasible).
 
-    Solutions are memoized in a process-wide thread-safe cache keyed on
-    the bound's canonical coefficient signature and the weight pair
-    (see [docs/ENGINE.md]); repeated sweeps over overlapping scenarios
-    reuse LP solutions instead of re-solving. The cache never changes
-    results — only whether the simplex solver actually runs. *)
-
-val clear_cache : unit -> unit
-(** Drop all memoized LP solutions and feasibility probes (useful for
-    timing cold paths; never needed for correctness). *)
+    Every call solves: the LP is warm-started on this domain's solver
+    for the bound's shape, which is rebuilt only when it holds a
+    different system (see [docs/ENGINE.md]). *)
 
 val max_sum_rate : Bound.t -> opt_result
 (** The optimal sum rate and the durations achieving it (the quantity
@@ -51,7 +45,7 @@ val max_rb : Bound.t -> opt_result
 
 val achievable : Bound.t -> ra:float -> rb:float -> bool
 (** Exact membership test for the rate pair (an LP feasibility probe over
-    the phase durations, memoized like {!max_weighted}). *)
+    the phase durations). *)
 
 val boundary : ?weights:int -> Bound.t -> Numerics.Vec2.t list
 (** [boundary b] is the list of Pareto-frontier vertices obtained from a

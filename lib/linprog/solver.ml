@@ -113,16 +113,17 @@ let normalise nvars constrs =
       else c)
     constrs
 
+let count p l = List.fold_left (fun n c -> if p c.relation then n + 1 else n) 0 l
+
 let layout nvars normalised =
   let m = List.length normalised in
-  let n_slack =
-    List.length (List.filter (fun c -> c.relation <> Eq) normalised)
-  in
-  let first_artificial = nvars + n_slack in
-  let n_art =
-    List.length (List.filter (fun c -> c.relation <> Le) normalised)
-  in
-  (m, first_artificial, first_artificial + n_art)
+  let first_artificial = nvars + count (fun r -> r <> Eq) normalised in
+  (m, first_artificial, first_artificial + count (fun r -> r <> Le) normalised)
+
+(* [normalised]'s relation tags equal [shape] from row [i] on. *)
+let rec same_relations shape i = function
+  | [] -> true
+  | c :: rest -> rel_tag c.relation = shape.(i) && same_relations shape (i + 1) rest
 
 (* (Re)load the kernel with [normalised] at geometry (t.m, ncols),
    starting every row from the standard phase-1 basis. *)
@@ -311,10 +312,7 @@ let rebuild_impl t ~constrs =
     && m = t.m
     && first_artificial = t.first_artificial
     && ncols = Kernel.ncols t.k
-    && List.for_all2
-         (fun c i -> rel_tag c.relation = t.shape.(i))
-         normalised
-         (List.init m Fun.id)
+    && same_relations t.shape 0 normalised
   in
   (* a carried basis never contains artificials (drive-out guarantees
      it while nrows = m), so it is a carry candidate whenever the

@@ -256,7 +256,7 @@ let eval q =
     let p = Option.get q.protocol in
     let bound = Bidir.Gaussian.bounds p q.bound scen in
     let vertices = Bidir.Rate_region.boundary ~weights:q.weights bound in
-    let area = Bidir.Rate_region.area ~weights:q.weights bound in
+    let area = Numerics.Polygon.(area (down_closure vertices)) in
     Json.Obj
       [ ("protocol", Json.String (Bidir.Protocol.name p));
         ("bound", Json.String (bound_name q.bound));

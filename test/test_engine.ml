@@ -174,7 +174,7 @@ let test_fig3_identical_across_domains () =
 let test_fig4_identical_across_domains () =
   let run domains =
     with_domains domains (fun () ->
-        Bidir.Rate_region.clear_cache ();
+        Engine.Memo.clear_all ();
         let f = Bidir.Figures.fig4 ~power_db:10. () in
         (Report.render_figure f, Report.figure_csv f))
   in

@@ -697,6 +697,100 @@ let prop_reoptimize_into_matches_oracle =
           | _ -> false)
         weights)
 
+(* The rate-region layer keeps one warm solver per LP shape and domain
+   and reloads it only when the bound system differs bit for bit. One
+   domain interleaves [max_sum_rate] and [achievable] over systems of
+   one shape: A, B, A, a fresh copy of A (no reload), A with one
+   coefficient moved one ulp, A again, and A with a 0. phase
+   coefficient written as -0. (each a reload). Every answer must match
+   the vertex-enumeration oracle, and a reload shows as basis
+   refactorisation work on the weighted solve. *)
+let test_rate_region_slot_reloads () =
+  let bounds power_db =
+    Bidir.Gaussian.bounds Bidir.Protocol.Hbc Bidir.Bound.Inner
+      (Bidir.Gaussian.scenario ~power_db ~gains:Channel.Gains.paper_fig4)
+  in
+  let a = bounds 10. and b = bounds 3. in
+  let map_first f (sys : Bidir.Bound.t) =
+    (* [f] rewrites the first per-phase coefficient it accepts *)
+    let found = ref false in
+    let terms =
+      List.map
+        (fun (t : Bidir.Bound.term) ->
+          let per_phase =
+            Array.map
+              (fun c ->
+                match if !found then None else f c with
+                | Some c' ->
+                  found := true;
+                  c'
+                | None -> c)
+              t.Bidir.Bound.per_phase
+          in
+          { t with Bidir.Bound.per_phase })
+        sys.Bidir.Bound.terms
+    in
+    Alcotest.(check bool) "coefficient rewritten" true !found;
+    { sys with Bidir.Bound.terms }
+  in
+  let ulp = map_first (fun c -> if c > 0. then Some (Float.succ c) else None) a
+  and neg_zero =
+    map_first
+      (fun c ->
+        if Int64.equal (Int64.bits_of_float c) 0L then Some (-0.) else None)
+      a
+  in
+  let refactor = Telemetry.Metrics.counter "linprog.refactor_eliminations" in
+  let check_system (name, sys, reload) =
+    let nvars, constrs = Bidir.Rate_region.lp_constraints sys in
+    let c = Array.make nvars 0. in
+    c.(0) <- 1. +. 1e-7;
+    c.(1) <- 1.;
+    let before = Telemetry.Metrics.value refactor in
+    let r = Bidir.Rate_region.max_sum_rate sys in
+    Option.iter
+      (fun reload ->
+        Alcotest.(check bool) (name ^ ": reloaded") reload
+          (Telemetry.Metrics.value refactor > before))
+      reload;
+    (match brute_force ~nvars c constrs with
+    | Some best ->
+      check_float ~eps:1e-7 (name ^ ": sum rate")
+        best ((c.(0) *. r.Bidir.Rate_region.ra) +. r.Bidir.Rate_region.rb)
+    | None -> Alcotest.failf "%s: oracle found no vertex" name);
+    (* probes inside and outside the region along its diagonal *)
+    let l = sys.Bidir.Bound.num_phases in
+    List.iter
+      (fun scale ->
+        let ra = scale *. r.Bidir.Rate_region.ra
+        and rb = scale *. r.Bidir.Rate_region.rb in
+        let rows =
+          c_ (Array.make l 1.) eq 1.
+          :: List.map
+               (fun (t : Bidir.Bound.term) ->
+                 c_ t.Bidir.Bound.per_phase ge
+                   ((t.Bidir.Bound.ca *. ra) +. (t.Bidir.Bound.cb *. rb)))
+               sys.Bidir.Bound.terms
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: achievable at scale %g" name scale)
+          (brute_force ~nvars:l (Array.make l 0.) rows <> None)
+          (Bidir.Rate_region.achievable sys ~ra ~rb))
+      [ 0.9; 1.05 ]
+  in
+  (* neither call fans out, so every solve runs on this domain's slots;
+     clearing first makes A's load a fresh create *)
+  Engine.Memo.clear_all ();
+  List.iter check_system
+    [ ("A", a, None);
+      ("B", b, Some true);
+      ("A again", a, Some true);
+      ("fresh copy of A", bounds 10., Some false);
+      ("A moved one ulp", ulp, Some true);
+      ("A after the ulp", a, Some true);
+      ("A with -0.", neg_zero, Some true);
+    ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_simplex_matches_brute_force;
@@ -733,6 +827,8 @@ let suites =
           test_reoptimize_into_zero_alloc;
         Alcotest.test_case "alloc_bytes independent of GC phase" `Quick
           test_alloc_bytes_independent_of_gc_phase;
+        Alcotest.test_case "rate-region solver slot reloads when it should"
+          `Quick test_rate_region_slot_reloads;
         Alcotest.test_case "pivots counts only its own solves" `Quick
           test_solver_pivots_own_count;
       ] );
