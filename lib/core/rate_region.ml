@@ -73,10 +73,9 @@ let shape ~probe (b : Bound.t) =
 
 (* "Is this system already loaded?" without rendering anything:
    physical equality first, then the coefficients bit for bit, so -0.
-   and 0. (and every distinct NaN payload) stay distinct. Protocol,
-   kind and labels do not enter the LP. Allocation-free only while
-   [same_bits] is inlined: called, it boxes both floats (80 words per
-   HBC compare). *)
+   and 0. stay distinct. Protocol, kind and labels do not enter the LP.
+   Allocation-free only while [same_bits] is inlined; called, it boxes
+   both floats of every compare. *)
 let[@inline] same_bits x y =
   Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
@@ -134,8 +133,6 @@ let slot_for ~probe ~nvars b ~ra ~rb constrs =
    alike). *)
 let lp_seconds = Telemetry.Metrics.histogram "lp.solve_seconds"
 
-let weighted_constrs b = snd (lp_constraints b)
-
 let max_weighted b ~wa ~wb =
   if wa < 0. || wb < 0. || wa +. wb <= 0. then
     invalid_arg "Rate_region.max_weighted: bad weights";
@@ -146,7 +143,8 @@ let max_weighted b ~wa ~wb =
   @@ fun () ->
   let nvars = 2 + b.Bound.num_phases in
   let slot =
-    slot_for ~probe:false ~nvars b ~ra:0. ~rb:0. weighted_constrs
+    slot_for ~probe:false ~nvars b ~ra:0. ~rb:0. (fun b ->
+        snd (lp_constraints b))
   in
   let c = slot.c in
   Array.fill c 0 nvars 0.;
@@ -176,36 +174,36 @@ let max_sum_rate b = max_weighted b ~wa:(1. +. lex_eps) ~wb:1.
 let max_ra b = max_weighted b ~wa:1. ~wb:lex_eps
 let max_rb b = max_weighted b ~wa:lex_eps ~wb:1.
 
-let probe_achievable b ~ra ~rb =
-  Engine.Stats.record_lp_solve ();
-  Telemetry.Span.with_span ~cat:"lp" "lp.probe"
-  @@ fun () ->
-  Telemetry.Metrics.time lp_seconds
-  @@ fun () ->
-  (* project out the rates: constraints over the durations only *)
-  let l = b.Bound.num_phases in
-  let constrs b =
-    let of_term (t : Bound.term) =
-      (* sum_l c_l d_l >= ca ra + cb rb *)
-      Linprog.Solver.constr
-        (Array.copy t.Bound.per_phase)
-        Linprog.Solver.Ge
-        ((t.Bound.ca *. ra) +. (t.Bound.cb *. rb) -. 1e-9)
-    in
-    let simplex_row =
-      Linprog.Solver.constr (Array.make l 1.) Linprog.Solver.Eq 1.
-    in
-    simplex_row :: List.map of_term b.Bound.terms
-  in
-  (* probes shift the right-hand side per (ra, rb), so a probe at a new
-     point rebuilds its slot. When the carried basis survives the new
-     rhs the rebuild skips phase 1 and [feasible] answers immediately;
-     otherwise this is the documented case where phase 1 re-runs. *)
-  let slot = slot_for ~probe:true ~nvars:l b ~ra ~rb constrs in
-  Linprog.Solver.feasible slot.solver
-
 let achievable b ~ra ~rb =
-  if ra < -1e-12 || rb < -1e-12 then false else probe_achievable b ~ra ~rb
+  if ra < -1e-12 || rb < -1e-12 then false
+  else begin
+    Engine.Stats.record_lp_solve ();
+    Telemetry.Span.with_span ~cat:"lp" "lp.probe"
+    @@ fun () ->
+    Telemetry.Metrics.time lp_seconds
+    @@ fun () ->
+    (* project out the rates: constraints over the durations only *)
+    let l = b.Bound.num_phases in
+    let constrs b =
+      let of_term (t : Bound.term) =
+        (* sum_l c_l d_l >= ca ra + cb rb *)
+        Linprog.Solver.constr
+          (Array.copy t.Bound.per_phase)
+          Linprog.Solver.Ge
+          ((t.Bound.ca *. ra) +. (t.Bound.cb *. rb) -. 1e-9)
+      in
+      let simplex_row =
+        Linprog.Solver.constr (Array.make l 1.) Linprog.Solver.Eq 1.
+      in
+      simplex_row :: List.map of_term b.Bound.terms
+    in
+    (* probes shift the right-hand side per (ra, rb), so a probe at a new
+       point rebuilds its slot. When the carried basis survives the new
+       rhs the rebuild skips phase 1 and [feasible] answers immediately;
+       otherwise this is the documented case where phase 1 re-runs. *)
+    let slot = slot_for ~probe:true ~nvars:l b ~ra ~rb constrs in
+    Linprog.Solver.feasible slot.solver
+  end
 
 (* Reusable per-domain flat buffers: the sweep's weight vector and the
    boundary's deduplicated (x, y) coordinate pairs are staged on

@@ -32,7 +32,9 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
 
     Every call solves: the LP is warm-started on this domain's solver
     for the bound's shape, which is rebuilt only when it holds a
-    different system (see [docs/ENGINE.md]). *)
+    different system (see [docs/ENGINE.md]). That check starts with
+    physical equality, so never mutate a bound's coefficient arrays
+    after passing it here. *)
 
 val max_sum_rate : Bound.t -> opt_result
 (** The optimal sum rate and the durations achieving it (the quantity

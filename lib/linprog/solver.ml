@@ -113,7 +113,8 @@ let normalise nvars constrs =
       else c)
     constrs
 
-let count p l = List.fold_left (fun n c -> if p c.relation then n + 1 else n) 0 l
+let count p l =
+  List.fold_left (fun n c -> if p c.relation then n + 1 else n) 0 l
 
 let layout nvars normalised =
   let m = List.length normalised in
@@ -123,7 +124,8 @@ let layout nvars normalised =
 (* [normalised]'s relation tags equal [shape] from row [i] on. *)
 let rec same_relations shape i = function
   | [] -> true
-  | c :: rest -> rel_tag c.relation = shape.(i) && same_relations shape (i + 1) rest
+  | c :: rest ->
+    rel_tag c.relation = shape.(i) && same_relations shape (i + 1) rest
 
 (* (Re)load the kernel with [normalised] at geometry (t.m, ncols),
    starting every row from the standard phase-1 basis. *)
