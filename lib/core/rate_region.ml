@@ -71,32 +71,14 @@ let shape ~probe (b : Bound.t) =
   (((b.Bound.num_phases lsl 16) lor List.length b.Bound.terms) lsl 1)
   lor Bool.to_int probe
 
-(* "Is this system already loaded?" without rendering anything:
-   physical equality first, then the coefficients bit for bit, so -0.
-   and 0. stay distinct. Protocol, kind and labels do not enter the LP.
-   Allocation-free only while [same_bits] is inlined; called, it boxes
-   both floats of every compare. *)
-let[@inline] same_bits x y =
-  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-
-let rec same_floats_from a b i =
-  i = Array.length a || (same_bits a.(i) b.(i) && same_floats_from a b (i + 1))
-
-let same_term (s : Bound.term) (t : Bound.term) =
-  same_bits s.Bound.ca t.Bound.ca
-  && same_bits s.Bound.cb t.Bound.cb
-  && Array.length s.Bound.per_phase = Array.length t.Bound.per_phase
-  && same_floats_from s.Bound.per_phase t.Bound.per_phase 0
-
-let same_system (a : Bound.t) (b : Bound.t) =
-  a == b
-  || a.Bound.num_phases = b.Bound.num_phases
-     && List.equal same_term a.Bound.terms b.Bound.terms
-
-(* Fetch this domain's slot for [b]'s shape, loading [constrs b] when the
-   slot holds a different system (or none yet). A probe's system is the
-   bound plus the probed point [(ra, rb)]; weighted slots pass 0. for
-   both. The slot owns the [c]/[x] buffers its solver's
+(* Fetch this domain's slot for [b]'s shape, loading [constrs b] unless
+   the slot already holds this very bound (physical equality) at the
+   same point. A probe's system is the bound plus the probed point
+   [(ra, rb)]; weighted slots pass 0. for both. A bound built
+   separately with equal coefficients reloads: sweeps and probe sets
+   pass one bound object, and equal-content repeats are rare (about 5%
+   of the slot checks in [figures all], none in the ergodic campaign).
+   The slot owns the [c]/[x] buffers its solver's
    [reoptimize_into] runs against, so a warm sweep iteration allocates
    nothing on the solve path. *)
 let slot_for ~probe ~nvars b ~ra ~rb constrs =
@@ -104,12 +86,7 @@ let slot_for ~probe ~nvars b ~ra ~rb constrs =
   let key = shape ~probe b in
   match Hashtbl.find slots key with
   | s ->
-    if
-      not
-        (same_system s.loaded b
-        && same_bits s.point.(0) ra
-        && same_bits s.point.(1) rb)
-    then begin
+    if not (s.loaded == b && s.point.(0) = ra && s.point.(1) = rb) then begin
       Linprog.Solver.rebuild s.solver ~constrs:(constrs b);
       s.loaded <- b;
       s.point.(0) <- ra;
@@ -283,8 +260,6 @@ let boundary ?(weights = default_weights) b =
 let polygon ?weights b =
   Telemetry.Span.with_span ~cat:"region" "region.polygon" (fun () ->
       Numerics.Polygon.down_closure (boundary ?weights b))
-
-let area ?weights b = Numerics.Polygon.area (polygon ?weights b)
 
 let contains_region ?weights big small =
   List.for_all

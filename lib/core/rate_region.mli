@@ -31,10 +31,10 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
     systems built by {!Gaussian} — they are bounded and feasible).
 
     Every call solves: the LP is warm-started on this domain's solver
-    for the bound's shape, which is rebuilt only when it holds a
-    different system (see [docs/ENGINE.md]). That check starts with
-    physical equality, so never mutate a bound's coefficient arrays
-    after passing it here. *)
+    for the bound's shape, which is rebuilt unless it already holds
+    this very bound (see [docs/ENGINE.md]). That check is physical
+    equality, so never mutate a bound's coefficient arrays after
+    passing it here. *)
 
 val max_sum_rate : Bound.t -> opt_result
 (** The optimal sum rate and the durations achieving it (the quantity
@@ -58,8 +58,6 @@ val polygon : ?weights:int -> Bound.t -> Numerics.Vec2.t list
 (** The full down-closed region polygon (counter-clockwise, includes the
     origin and the axis intercepts) — suitable for area, containment and
     plotting. *)
-
-val area : ?weights:int -> Bound.t -> float
 
 val contains_region : ?weights:int -> Bound.t -> Bound.t -> bool
 (** [contains_region big small]: every boundary vertex of [small] is

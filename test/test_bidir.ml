@@ -266,7 +266,10 @@ let test_region_domination_low_and_high () =
      rate — TDBC still reaches further along the axes where the direct
      link plus side information carries one-directional traffic), and
      the ordering flips by 10 dB. *)
-  let area p s = Bidir.Rate_region.area (region p Bidir.Bound.Inner s) in
+  let area p s =
+    Numerics.Polygon.area
+      (Bidir.Rate_region.polygon (region p Bidir.Bound.Inner s))
+  in
   let s0 = scen ~power_db:(-5.) in
   Alcotest.(check bool) "-5 dB: MABC area > TDBC area" true
     (area Bidir.Protocol.Mabc s0 > area Bidir.Protocol.Tdbc s0);

@@ -698,13 +698,13 @@ let prop_reoptimize_into_matches_oracle =
         weights)
 
 (* The rate-region layer keeps one warm solver per LP shape and domain
-   and reloads it only when the bound system differs bit for bit. One
-   domain interleaves [max_sum_rate] and [achievable] over systems of
-   one shape: A, B, A, a fresh copy of A (no reload), A with one
-   coefficient moved one ulp, A again, and A with a 0. phase
-   coefficient written as -0. (each a reload). Every answer must match
-   the vertex-enumeration oracle, and a reload shows as basis
-   refactorisation work on the weighted solve. *)
+   and reloads it unless it already holds the very same bound object.
+   One domain interleaves [max_sum_rate] and [achievable] over systems
+   of one shape: A, A again as the same object (no reload), B, A, a
+   fresh copy of A, A with one coefficient moved one ulp, A again, and
+   A with a 0. phase coefficient written as -0. (each a reload). Every
+   answer must match the vertex-enumeration oracle, and a reload shows
+   as basis refactorisation work on the weighted solve. *)
 let test_rate_region_slot_reloads () =
   let bounds power_db =
     Bidir.Gaussian.bounds Bidir.Protocol.Hbc Bidir.Bound.Inner
@@ -783,9 +783,10 @@ let test_rate_region_slot_reloads () =
   Engine.Memo.clear_all ();
   List.iter check_system
     [ ("A", a, None);
+      ("A, same object", a, Some false);
       ("B", b, Some true);
       ("A again", a, Some true);
-      ("fresh copy of A", bounds 10., Some false);
+      ("fresh copy of A", bounds 10., Some true);
       ("A moved one ulp", ulp, Some true);
       ("A after the ulp", a, Some true);
       ("A with -0.", neg_zero, Some true);

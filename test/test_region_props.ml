@@ -56,13 +56,12 @@ let prop_area_monotone_in_power =
       in
       List.for_all
         (fun (p, kind) ->
-          let a_lo =
-            Bidir.Rate_region.area ~weights:9 (Bidir.Gaussian.bounds p kind s)
+          let area s =
+            Numerics.Polygon.area
+              (Bidir.Rate_region.polygon ~weights:9
+                 (Bidir.Gaussian.bounds p kind s))
           in
-          let a_hi =
-            Bidir.Rate_region.area ~weights:9
-              (Bidir.Gaussian.bounds p kind louder)
-          in
+          let a_lo = area s and a_hi = area louder in
           a_hi >= a_lo -. 1e-9)
         all_systems)
 
