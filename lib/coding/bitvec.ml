@@ -29,11 +29,48 @@ let get_byte t i =
     invalid_arg "Bitvec.get_byte: index out of bounds";
   Char.code (Bytes.get t.data i)
 
+let get_uint32_le t i = Int32.to_int (Bytes.get_int32_le t.data i) land 0xFFFF_FFFF
+
+let empty = create 0
+
 let copy t = { len = t.len; data = Bytes.copy t.data }
 
 (* Every vector keeps the bits past [len] in its last byte at zero, so
    that [equal] can compare bytes and [weight] can count them. *)
 let equal a b = a.len = b.len && Bytes.equal a.data b.data
+
+(* The padding bits of [mask] are zero, so its bytes read as the
+   zero-padded mask up to its byte length, and as zero past it. Each
+   loop stops at the first difference. *)
+let xor_equal_prefix a ~mask b ~len =
+  if len < 0 || len > a.len || len > b.len then
+    invalid_arg "Bitvec.xor_equal_prefix: length out of range";
+  let a = a.data and b = b.data and m = mask.data in
+  let full = len / 8 in
+  let masked = min full (Bytes.length m) in
+  let byte v j = if j < Bytes.length v then Char.code (Bytes.get v j) else 0 in
+  let ok = ref true and j = ref 0 in
+  while !ok && !j + 8 <= masked do
+    ok :=
+      Int64.logxor (Bytes.get_int64_le a !j) (Bytes.get_int64_le b !j)
+      = Bytes.get_int64_le m !j;
+    j := !j + 8
+  done;
+  while !ok && !j < masked do
+    ok := byte a !j lxor byte b !j = byte m !j;
+    incr j
+  done;
+  while !ok && !j + 8 <= full do
+    ok := Bytes.get_int64_le a !j = Bytes.get_int64_le b !j;
+    j := !j + 8
+  done;
+  while !ok && !j < full do
+    ok := byte a !j = byte b !j;
+    incr j
+  done;
+  let r = len land 7 in
+  !ok
+  && (r = 0 || (byte a full lxor byte b full lxor byte m full) land ((1 lsl r) - 1) = 0)
 
 let xor_prefix_into ~dst src ~len =
   if len < 0 || len > dst.len || len > src.len then
@@ -75,8 +112,6 @@ let weight t =
     acc := !acc + popcount_byte.(Char.code (Bytes.get t.data i))
   done;
   !acc
-
-let hamming_distance a b = weight (xor a b)
 
 let random rng len =
   let t = create len in

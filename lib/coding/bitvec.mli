@@ -14,8 +14,24 @@ val get_byte : t -> int -> int
     significant position; bits past the length read as zero. Valid for
     [0 <= i < (length t + 7) / 8]. *)
 
+val get_uint32_le : t -> int -> int
+(** [get_uint32_le t i] holds bits [8i .. 8i+31] of [t], bit [8i] in the
+    least significant position, as a non-negative int: the little-endian
+    word of bytes [i .. i+3] that {!get_byte} reads one at a time. Valid
+    for [0 <= i] and [i + 4 <= (length t + 7) / 8]; allocates nothing. *)
+
+val empty : t
+(** The vector of length 0. *)
+
 val copy : t -> t
 val equal : t -> t -> bool
+
+val xor_equal_prefix : t -> mask:t -> t -> len:int -> bool
+(** [xor_equal_prefix a ~mask b ~len] holds when [a xor mask] equals [b]
+    on bits [0 .. len-1], with [mask] zero-padded past its length (so
+    {!empty} compares [a] with [b]). Requires [len] to be at most the
+    lengths of [a] and [b]; [mask] may have any length. Allocates
+    nothing. *)
 
 val xor : t -> t -> t
 (** Componentwise GF(2) addition; lengths must agree. This is the
@@ -32,8 +48,6 @@ val xor_prefix_into : dst:t -> t -> len:int -> unit
 
 val weight : t -> int
 (** Hamming weight. *)
-
-val hamming_distance : t -> t -> int
 
 val random : Prob.Rng.t -> int -> t
 (** Uniformly random vector of the given length. *)

@@ -1,40 +1,68 @@
-(* CRC-16/CCITT-FALSE, MSB-first over bit index. A vector stores bit 8i
-   in the least significant position of byte i, so each whole byte is
-   bit-reversed before the usual MSB-first table step; the last
-   [len mod 8] bits go through the bitwise loop. *)
+(* CRC-16/CCITT-FALSE, MSB-first over bit index, computed in its
+   reflected form. A vector stores bit 8i in the least significant
+   position of byte i, which is the order the reflected register
+   (polynomial 0x8408) consumes, so bytes and words feed in as stored;
+   the register is bit-reversed once at the end. Init 0xFFFF is its own
+   reflection. *)
 
-let reverse8 =
-  Array.init 256 (fun b ->
-      let r = ref 0 in
-      for k = 0 to 7 do
-        if (b lsr k) land 1 = 1 then r := !r lor (1 lsl (7 - k))
-      done;
-      !r)
+let poly = 0x8408
 
-let table =
-  Array.init 256 (fun b ->
-      let crc = ref (b lsl 8) in
-      for _ = 1 to 8 do
-        crc :=
-          if !crc land 0x8000 <> 0 then ((!crc lsl 1) lxor 0x1021) land 0xFFFF
-          else (!crc lsl 1) land 0xFFFF
-      done;
-      !crc)
+(* [tables.((256 * k) + b)] is the register after byte [b] followed by
+   [k] zero bytes: slicing-by-8 folds one 64-bit word with eight
+   lookups. *)
+let tables =
+  let t = Array.make (8 * 256) 0 in
+  for b = 0 to 255 do
+    let crc = ref b in
+    for _ = 1 to 8 do
+      crc := if !crc land 1 = 1 then (!crc lsr 1) lxor poly else !crc lsr 1
+    done;
+    t.(b) <- !crc
+  done;
+  for k = 1 to 7 do
+    for b = 0 to 255 do
+      let prev = t.((256 * (k - 1)) + b) in
+      t.((256 * k) + b) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
+
+(* every index below is masked to a byte, so the lookups stay in bounds *)
+let tbl k b = Array.unsafe_get tables ((256 * k) + b)
+
+let reverse16 x =
+  let r = ref 0 in
+  for k = 0 to 15 do
+    r := !r lor (((x lsr k) land 1) lsl (15 - k))
+  done;
+  !r
 
 (* the checksum of the first [len] bits *)
 let crc16_prefix bits len =
   let crc = ref 0xFFFF in
-  for i = 0 to (len / 8) - 1 do
-    let b = reverse8.(Bitvec.get_byte bits i) in
-    crc := ((!crc lsl 8) land 0xFFFF) lxor table.((!crc lsr 8) lxor b)
+  let full = len / 8 in
+  let words = full / 8 in
+  for w = 0 to words - 1 do
+    let lo = Bitvec.get_uint32_le bits (8 * w) lxor !crc in
+    let hi = Bitvec.get_uint32_le bits ((8 * w) + 4) in
+    crc :=
+      tbl 7 (lo land 0xFF)
+      lxor tbl 6 ((lo lsr 8) land 0xFF)
+      lxor tbl 5 ((lo lsr 16) land 0xFF)
+      lxor tbl 4 (lo lsr 24)
+      lxor tbl 3 (hi land 0xFF)
+      lxor tbl 2 ((hi lsr 8) land 0xFF)
+      lxor tbl 1 ((hi lsr 16) land 0xFF)
+      lxor tbl 0 (hi lsr 24)
   done;
-  for i = len land lnot 7 to len - 1 do
+  for i = 8 * words to full - 1 do
+    crc := (!crc lsr 8) lxor tbl 0 ((!crc lxor Bitvec.get_byte bits i) land 0xFF)
+  done;
+  for i = 8 * full to len - 1 do
     let bit = if Bitvec.get bits i then 1 else 0 in
-    let top = (!crc lsr 15) land 1 in
-    crc := (!crc lsl 1) land 0xFFFF;
-    if top lxor bit = 1 then crc := !crc lxor 0x1021
+    crc := if (!crc lxor bit) land 1 = 1 then (!crc lsr 1) lxor poly else !crc lsr 1
   done;
-  !crc
+  reverse16 !crc
 
 let crc16 bits = crc16_prefix bits (Bitvec.length bits)
 

@@ -2,7 +2,14 @@
 
 val crc16 : Bitvec.t -> int
 (** CRC-16/CCITT-FALSE over the bit vector (MSB-first over the bits,
-    init 0xFFFF, polynomial 0x1021). *)
+    init 0xFFFF, polynomial 0x1021; ["123456789"] gives 0x29B1).
+
+    It is computed in the reflected form of the same CRC: polynomial
+    0x8408 over the bits in vector order, the register bit-reversed once
+    at the end. That order is the vector's byte layout, so the bulk goes
+    slicing-by-8 (eight 256-entry tables, eight bytes per step),
+    then one table step per leftover whole byte, then one step per bit
+    for the last [length mod 8] bits. Every function below uses it. *)
 
 val append_crc16 : Bitvec.t -> Bitvec.t
 (** Payload followed by its 16 checksum bits. *)

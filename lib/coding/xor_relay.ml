@@ -20,22 +20,14 @@ let combine_framed fa fb =
     Some r
   end
 
-let check_own ~own ~relay =
-  if Bitvec.length own > Bitvec.length relay then
-    invalid_arg "Xor_relay.recover: own message longer than relay word"
-
-let recover ~own ~relay =
-  check_own ~own ~relay;
-  let r = Bitvec.copy relay in
-  Bitvec.xor_prefix_into ~dst:r own ~len:(Bitvec.length own);
-  r
-
-let recover_exact ~own ~relay ~expected_len =
-  check_own ~own ~relay;
-  if expected_len < 0 then
-    invalid_arg "Xor_relay.recover_exact: negative expected length";
-  if expected_len > Bitvec.length relay then
-    invalid_arg "Xor_relay.recover_exact: expected length too large";
-  let r = Bitvec.sub relay ~pos:0 ~len:expected_len in
-  Bitvec.xor_prefix_into ~dst:r own ~len:(min expected_len (Bitvec.length own));
-  r
+let check_framed ~own framed ~expected =
+  if not (Crc.valid_crc16 framed) then None
+  else begin
+    let payload = Bitvec.length framed - 16 in
+    if Bitvec.length own > payload then
+      invalid_arg "Xor_relay.check_framed: own message longer than the payload";
+    let len = Bitvec.length expected in
+    if len <= payload && Bitvec.xor_equal_prefix framed ~mask:own expected ~len
+    then Some true
+    else Some false
+  end

@@ -14,11 +14,13 @@ val combine_framed : Bitvec.t -> Bitvec.t -> Bitvec.t option
     [combine] of the two payloads, built in one allocation without
     copying either payload out; [None] when a checksum fails. *)
 
-val recover : own:Bitvec.t -> relay:Bitvec.t -> Bitvec.t
-(** [recover ~own ~relay] gives the opposite terminal's message (padded
-    to the relay word length); requires [length own <= length relay]. *)
-
-val recover_exact : own:Bitvec.t -> relay:Bitvec.t -> expected_len:int ->
-  Bitvec.t
-(** Like {!recover} but truncates to the opposite message's true length
-    [expected_len], which must lie in [0, length relay]. *)
+val check_framed : own:Bitvec.t -> Bitvec.t -> expected:Bitvec.t -> bool option
+(** [check_framed ~own framed ~expected] is a terminal's check of a
+    CRC-framed word (see {!Crc.append_crc16}) without copying its
+    payload out: [None] when the checksum fails, otherwise [Some ok],
+    where [ok] says whether the payload xor [own] (zero-padded) equals
+    [expected] on the first [length expected] bits. A relay word passes
+    the terminal's own message as [own]; a direct packet passes
+    {!Bitvec.empty}. A payload shorter than [expected] gives
+    [Some false]. Raises [Invalid_argument] when the checksum holds and
+    [own] is longer than the payload. Allocates nothing. *)

@@ -62,13 +62,9 @@ let run cfg =
         &&
         let pa = Packet.fresh ~src:Packet.A ~seq wa in
         let pb = Packet.fresh ~src:Packet.B ~seq wb in
-        match Packet.verify (Packet.xor_payloads pa pb ~src:Packet.R ~seq) with
-        | None -> false
-        | Some wr ->
-          Coding.Bitvec.equal
-            (Coding.Xor_relay.recover_exact ~own:wb ~relay:wr
-               ~expected_len:(Coding.Bitvec.length wa))
-            wa
+        let pr = Packet.xor_payloads pa pb ~src:Packet.R ~seq in
+        Coding.Xor_relay.check_framed ~own:wb pr.Packet.payload ~expected:wa
+        = Some true
       in
       if pair_ok then begin
         incr delivered;

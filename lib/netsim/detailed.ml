@@ -18,6 +18,15 @@ let run (cfg : Runner.config) =
   Radio.set_receiver radio Packet.B (Node.observe node_b);
   Radio.set_receiver radio Packet.R (Node.observe node_r);
   let analytic_acc = ref 0. in
+  (* a terminal's CRC and payload check; a wrong payload that passed the
+     CRC is a bit error *)
+  let check ~own (p : Packet.t) expected =
+    match Coding.Xor_relay.check_framed ~own p.payload ~expected with
+    | None -> false
+    | Some ok ->
+      if not ok then Metrics.record_bit_error metrics;
+      ok
+  in
   (* blocks are chained (each finalize schedules the next) rather than
      all scheduled upfront: at a shared timestamp the FIFO tie-break
      would otherwise start block i+1 — and reset the nodes — before
@@ -107,30 +116,12 @@ let run (cfg : Runner.config) =
         else if !relay_bcast_ok then begin
           match Node.packet_from at Packet.R with
           | None -> false
-          | Some pr -> begin
-            match Packet.verify pr with
-            | None -> false
-            | Some wr ->
-              let recovered =
-                Coding.Xor_relay.recover_exact ~own:own_word ~relay:wr
-                  ~expected_len:bits
-              in
-              let ok = Coding.Bitvec.equal recovered expected in
-              if not ok then Metrics.record_bit_error metrics;
-              ok
-          end
+          | Some pr -> check ~own:own_word pr expected
         end
         else begin
           match Node.packet_from at src with
           | None -> bits = 0 (* nothing was sent and nothing was needed *)
-          | Some p -> begin
-            match Packet.verify p with
-            | None -> false
-            | Some w ->
-              let ok = Coding.Bitvec.equal w expected in
-              if not ok then Metrics.record_bit_error metrics;
-              ok
-          end
+          | Some p -> check ~own:Coding.Bitvec.empty p expected
         end
       in
       let delivered_a =
@@ -191,14 +182,7 @@ let run (cfg : Runner.config) =
         &&
         match Node.packet_addressed_from at Packet.R with
         | None -> false
-        | Some p -> begin
-          match Packet.verify p with
-          | None -> false
-          | Some w ->
-            let ok = Coding.Bitvec.equal w expected in
-            if not ok then Metrics.record_bit_error metrics;
-            ok
-        end
+        | Some p -> check ~own:Coding.Bitvec.empty p expected
       in
       let delivered_a =
         decode ~at:node_b ~forwarded:!naive_fwd_a ~expected:wa ~rate:ra_eff

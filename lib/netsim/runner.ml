@@ -174,53 +174,42 @@ let decode_outcome protocol ~power ~(gains : Channel.Gains.t) ~deltas ~ra ~rb =
 
 (* One block's bit-level pipeline given its decode outcome. Returns the
    (delivered_a, delivered_b, bit_error_count) triple after CRC checks
-   and payload comparison. *)
+   and payload comparison. The relay word is built at most once, and
+   only when a direction decodes through it. *)
 let move_bits rng ~outcome ~bits_a ~bits_b ~seq =
   let wa = Coding.Bitvec.random rng bits_a in
   let wb = Coding.Bitvec.random rng bits_b in
   let pkt_a = Packet.fresh ~src:Packet.A ~seq wa in
   let pkt_b = Packet.fresh ~src:Packet.B ~seq wb in
   let bit_errors = ref 0 in
-  let delivered_via_relay ~own ~expected ~expected_len =
-    (* the relay combined both clean packets; the terminal xors its own
-       message back out *)
-    match Packet.verify (Packet.xor_payloads pkt_a pkt_b ~src:Packet.R ~seq) with
+  let check ~own (pkt : Packet.t) expected =
+    match Coding.Xor_relay.check_framed ~own pkt.payload ~expected with
     | None -> false
-    | Some relay_word ->
-      let recovered =
-        Coding.Xor_relay.recover_exact ~own ~relay:relay_word ~expected_len
-      in
-      let ok = Coding.Bitvec.equal recovered expected in
+    | Some ok ->
       if not ok then incr bit_errors;
       ok
   in
-  let delivered_direct pkt expected =
-    match Packet.verify pkt with
-    | None -> false
-    | Some w ->
-      let ok = Coding.Bitvec.equal w expected in
-      if not ok then incr bit_errors;
-      ok
+  (* the relay combined both clean packets; a terminal xors its own
+     message back out *)
+  let relay =
+    if outcome.relay_ok && (outcome.b_gets_a || outcome.a_gets_b) then
+      Some (Packet.xor_payloads pkt_a pkt_b ~src:Packet.R ~seq)
+    else None
+  in
+  let receive ~own pkt expected =
+    match relay with
+    | Some pr -> check ~own pr expected
+    | None -> check ~own:Coding.Bitvec.empty pkt expected
   in
   let delivered_a =
-    if not outcome.b_gets_a then begin
+    if outcome.b_gets_a then receive ~own:wb pkt_a wa
+    else begin
       (* outage: b sees garbage; the CRC must catch it *)
-      (match Packet.verify (Packet.corrupt rng pkt_a) with
-      | Some w when Coding.Bitvec.equal w wa -> ()
-      | Some _ -> incr bit_errors (* undetected corruption *)
-      | None -> ());
+      ignore (check ~own:Coding.Bitvec.empty (Packet.corrupt rng pkt_a) wa);
       false
     end
-    else if outcome.relay_ok then
-      delivered_via_relay ~own:wb ~expected:wa ~expected_len:bits_a
-    else delivered_direct pkt_a wa
   in
-  let delivered_b =
-    if not outcome.a_gets_b then false
-    else if outcome.relay_ok then
-      delivered_via_relay ~own:wa ~expected:wb ~expected_len:bits_b
-    else delivered_direct pkt_b wb
-  in
+  let delivered_b = outcome.a_gets_b && receive ~own:wa pkt_b wb in
   (delivered_a, delivered_b, !bit_errors)
 
 let run cfg =

@@ -37,8 +37,8 @@ let test_bitvec_xor_self_is_zero () =
 let test_bitvec_weight () =
   Alcotest.(check int) "weight" 3 (Coding.Bitvec.weight (bv "0110100"));
   Alcotest.(check int) "weight empty" 0 (Coding.Bitvec.weight (Coding.Bitvec.create 0));
-  Alcotest.(check int) "distance" 2
-    (Coding.Bitvec.hamming_distance (bv "1100") (bv "1010"))
+  Alcotest.(check int) "weight of a xor" 2
+    (Coding.Bitvec.weight (Coding.Bitvec.xor (bv "1100") (bv "1010")))
 
 let test_bitvec_int_round_trip () =
   List.iter
@@ -133,21 +133,30 @@ let test_crc_stability () =
 (* Xor_relay                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let framed_check ~own relay ~expected =
+  Coding.Xor_relay.check_framed ~own (Coding.Crc.append_crc16 relay) ~expected
+
+let check_answer msg expected actual =
+  Alcotest.(check (option bool)) msg expected actual
+
 let test_xor_relay_round_trip () =
   let wa = bv "10110" and wb = bv "01101" in
   let wr = Coding.Xor_relay.combine wa wb in
-  check_bv "a recovers wb" wb (Coding.Xor_relay.recover ~own:wa ~relay:wr);
-  check_bv "b recovers wa" wa (Coding.Xor_relay.recover ~own:wb ~relay:wr)
+  check_answer "a recovers wb" (Some true) (framed_check ~own:wa wr ~expected:wb);
+  check_answer "b recovers wa" (Some true) (framed_check ~own:wb wr ~expected:wa);
+  check_answer "a wrong guess" (Some false) (framed_check ~own:wa wr ~expected:wa)
 
 let test_xor_relay_unequal_lengths () =
   (* the group L = Z_2^max(...) from the paper: shorter message padded *)
   let wa = bv "1011" and wb = bv "10" in
   let wr = Coding.Xor_relay.combine wa wb in
   Alcotest.(check int) "relay word length" 4 (Coding.Bitvec.length wr);
-  check_bv "b recovers wa (full length)" wa
-    (Coding.Xor_relay.recover ~own:wb ~relay:wr);
-  check_bv "a recovers wb (truncated)" wb
-    (Coding.Xor_relay.recover_exact ~own:wa ~relay:wr ~expected_len:2)
+  check_answer "b recovers wa (full length)" (Some true)
+    (framed_check ~own:wb wr ~expected:wa);
+  check_answer "a recovers wb (truncated)" (Some true)
+    (framed_check ~own:wa wr ~expected:wb);
+  check_answer "direct word" (Some true)
+    (framed_check ~own:Coding.Bitvec.empty wa ~expected:wa)
 
 let prop_xor_relay_round_trip =
   QCheck.Test.make ~count:200 ~name:"xor relay round trip (random lengths)"
@@ -156,24 +165,34 @@ let prop_xor_relay_round_trip =
       let rng = Prob.Rng.create ~seed in
       let wa = Coding.Bitvec.random rng (la + 1) in
       let wb = Coding.Bitvec.random rng (lb + 1) in
-      let wr = Coding.Xor_relay.combine wa wb in
-      let wa' = Coding.Xor_relay.recover_exact ~own:wb ~relay:wr
-          ~expected_len:(Coding.Bitvec.length wa) in
-      let wb' = Coding.Xor_relay.recover_exact ~own:wa ~relay:wr
-          ~expected_len:(Coding.Bitvec.length wb) in
-      Coding.Bitvec.equal wa wa' && Coding.Bitvec.equal wb wb')
+      let fr = Coding.Crc.append_crc16 (Coding.Xor_relay.combine wa wb) in
+      Coding.Xor_relay.check_framed ~own:wb fr ~expected:wa = Some true
+      && Coding.Xor_relay.check_framed ~own:wa fr ~expected:wb = Some true)
 
 let test_xor_relay_validation () =
-  Alcotest.check_raises "negative expected length"
-    (Invalid_argument "Xor_relay.recover_exact: negative expected length")
-    (fun () ->
-      ignore
-        (Coding.Xor_relay.recover_exact ~own:(bv "10") ~relay:(bv "1011")
-           ~expected_len:(-1)));
-  Alcotest.check_raises "own longer than relay"
-    (Invalid_argument "Xor_relay.recover: own message longer than relay word")
-    (fun () ->
-      ignore (Coding.Xor_relay.recover_exact ~own:(bv "101") ~relay:(bv "10") ~expected_len:1))
+  check_answer "expected longer than the payload" (Some false)
+    (framed_check ~own:(bv "10") (bv "1011") ~expected:(bv "00111"));
+  Alcotest.check_raises "own longer than the payload"
+    (Invalid_argument "Xor_relay.check_framed: own message longer than the payload")
+    (fun () -> ignore (framed_check ~own:(bv "101") (bv "10") ~expected:(bv "1")));
+  (* a failed checksum answers before the lengths are looked at *)
+  check_answer "unframed word" None
+    (Coding.Xor_relay.check_framed ~own:(bv "101") (bv "10") ~expected:(bv "1"))
+
+(* The check reads the framed word in place: a 30 kbit relay word costs
+   no minor words. *)
+let test_xor_relay_check_alloc () =
+  let rng = Prob.Rng.create ~seed:12 in
+  let wa = Coding.Bitvec.random rng 30_000 and wb = Coding.Bitvec.random rng 20_001 in
+  let fr = Coding.Crc.append_crc16 (Coding.Xor_relay.combine wa wb) in
+  let run () = Coding.Xor_relay.check_framed ~own:wb fr ~expected:wa in
+  ignore (Sys.opaque_identity (run ()));
+  let w0 = Gc.minor_words () in
+  let r = Sys.opaque_identity (run ()) in
+  let words = Gc.minor_words () -. w0 in
+  check_answer "recovers" (Some true) r;
+  if words > 0. then
+    Alcotest.failf "check_framed on 30 kbit allocated %.0f minor words" words
 
 (* ------------------------------------------------------------------ *)
 (* Oracles: per-bit references that share no code with the byte and   *)
@@ -248,18 +267,91 @@ let prop_xor_oracle =
       let b = Coding.Bitvec.of_bool_array (Array.map snd pairs) in
       Coding.Bitvec.equal (Coding.Bitvec.xor a b) (ref_combine a b))
 
-let prop_recover_exact_oracle =
-  QCheck.Test.make ~count:300 ~name:"recover_exact = per-bit reference"
+(* The path {!Coding.Xor_relay.check_framed} replaces, from the per-bit
+   references: check the CRC, copy the payload out, xor [own] back in,
+   cut it to the expected length and compare. *)
+let ref_check ~own framed ~expected =
+  let n = Coding.Bitvec.length framed - 16 in
+  let payload = ref_sub framed ~pos:0 ~len:(max 0 n) in
+  if n < 0 || not (Coding.Bitvec.equal framed (ref_frame payload)) then None
+  else begin
+    let e = Coding.Bitvec.length expected in
+    Some
+      (e <= n
+      && Coding.Bitvec.equal (ref_sub (ref_combine own payload) ~pos:0 ~len:e) expected)
+  end
+
+let flipped v i =
+  let c = Coding.Bitvec.copy v in
+  Coding.Bitvec.set c i (not (Coding.Bitvec.get c i));
+  c
+
+(* One true answer and every single-bit flip that must overturn it: in a
+   whole byte and in the last partial byte of [expected] (a wrong
+   payload, [Some false]) and of the framed word, and in its CRC tag (a
+   failed checksum, [None]). Each answer must match the reference. *)
+let check_flips ~own payload ~e =
+  let n = Coding.Bitvec.length payload in
+  let framed = ref_frame payload in
+  let expected = ref_sub (ref_combine own payload) ~pos:0 ~len:e in
+  let answer framed expected =
+    let got = Coding.Xor_relay.check_framed ~own framed ~expected in
+    if got = ref_check ~own framed ~expected then got
+    else Alcotest.failf "check_framed disagrees with the reference"
+  in
+  let in_whole len = if len >= 8 then [ (len / 8 * 8) - 3 ] else [] in
+  let in_partial len = if len land 7 <> 0 then [ len - 1 ] else [] in
+  answer framed expected = Some true
+  && List.for_all (fun i -> answer framed (flipped expected i) = Some false)
+       (in_whole e @ in_partial e)
+  && List.for_all (fun i -> answer (flipped framed i) expected = None)
+       (in_whole n @ in_partial n @ [ n; n + 15 ])
+
+let prop_check_framed_oracle =
+  QCheck.Test.make ~count:300 ~name:"check_framed = copying path (per-bit)"
     QCheck.(triple (arb_bits 150) (arb_bits 150) small_nat)
     (fun (x, y, e) ->
-      (* own is the shorter word, relay the longer one *)
-      let own, relay =
+      (* own is the shorter word, the relay payload the longer one; the
+         expected length falls on either side of own's *)
+      let own, payload =
         if Coding.Bitvec.length x <= Coding.Bitvec.length y then (x, y) else (y, x)
       in
-      let expected_len = e mod (Coding.Bitvec.length relay + 1) in
-      Coding.Bitvec.equal
-        (Coding.Xor_relay.recover_exact ~own ~relay ~expected_len)
-        (ref_sub (ref_combine own relay) ~pos:0 ~len:expected_len))
+      let e = e mod (Coding.Bitvec.length payload + 1) in
+      check_flips ~own payload ~e
+      && check_flips ~own:Coding.Bitvec.empty payload ~e
+      && check_flips ~own payload ~e:0)
+
+let test_check_framed_cases () =
+  let st = Random.State.make [| 3 |] in
+  let vec n = Coding.Bitvec.of_bool_array (Array.init n (fun _ -> Random.State.bool st)) in
+  let payload = vec 77 in
+  List.iter
+    (fun (msg, own, e) ->
+      Alcotest.(check bool) msg true (check_flips ~own payload ~e))
+    [ ("own shorter than expected", vec 20, 61);
+      ("own longer than expected", vec 70, 45);
+      ("expected of length 0", vec 30, 0);
+      ("own as long as the payload", vec 77, 77);
+      ("direct word", Coding.Bitvec.empty, 77);
+    ]
+
+(* Slicing-by-8 reads whole 64-bit words, then whole bytes, then bits:
+   every length up to 1,100 bits crosses each residue mod 64 and mod 8. *)
+let test_crc_every_length () =
+  let st = Random.State.make [| 11 |] in
+  for n = 0 to 1100 do
+    let v = Coding.Bitvec.of_bool_array (Array.init n (fun _ -> Random.State.bool st)) in
+    let framed = ref_frame v in
+    let sealed = ref_append v (Coding.Bitvec.of_int ~width:16 (crc16_oracle v lxor 0x5A5A)) in
+    Coding.Crc.seal_crc16 sealed;
+    if Coding.Crc.crc16 v <> crc16_oracle v then Alcotest.failf "crc16 at %d bits" n;
+    if not (Coding.Bitvec.equal (Coding.Crc.append_crc16 v) framed) then
+      Alcotest.failf "append_crc16 at %d bits" n;
+    if not (Coding.Crc.valid_crc16 framed) then Alcotest.failf "valid_crc16 at %d bits" n;
+    if Coding.Crc.valid_crc16 (flipped framed (n / 2)) then
+      Alcotest.failf "valid_crc16 missed a flip at %d bits" n;
+    if not (Coding.Bitvec.equal sealed framed) then Alcotest.failf "seal_crc16 at %d bits" n
+  done
 
 let prop_combine_framed_oracle =
   QCheck.Test.make ~count:300 ~name:"combine_framed = framed per-bit combine"
@@ -287,7 +379,7 @@ let prop_random_stream =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_xor_relay_round_trip; prop_crc16_oracle; prop_append_oracle;
-      prop_sub_oracle; prop_xor_oracle; prop_recover_exact_oracle;
+      prop_sub_oracle; prop_xor_oracle; prop_check_framed_oracle;
       prop_combine_framed_oracle; prop_random_stream ]
 
 let suites =
@@ -307,11 +399,14 @@ let suites =
     ( "coding.crc",
       [ Alcotest.test_case "detects bit flips" `Quick test_crc_detects_flip;
         Alcotest.test_case "stability" `Quick test_crc_stability;
+        Alcotest.test_case "every length to 1100 bits" `Quick test_crc_every_length;
       ] );
     ( "coding.xor_relay",
       [ Alcotest.test_case "round trip" `Quick test_xor_relay_round_trip;
         Alcotest.test_case "unequal lengths" `Quick test_xor_relay_unequal_lengths;
         Alcotest.test_case "validation" `Quick test_xor_relay_validation;
+        Alcotest.test_case "check allocation budget" `Quick test_xor_relay_check_alloc;
+        Alcotest.test_case "check: lengths and flips" `Quick test_check_framed_cases;
       ] );
     ("coding.properties", qcheck_cases);
   ]
