@@ -28,12 +28,12 @@ let protocol_arg =
   let parse s =
     match Bidir.Protocol.of_string s with
     | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown protocol %S (dt|mabc|tdbc|hbc)" s))
+    | None -> Error (`Msg (Printf.sprintf "unknown protocol %S (dt|naive|mabc|tdbc|hbc)" s))
   in
   let print fmt p = Format.fprintf fmt "%s" (Bidir.Protocol.name p) in
   let protocol_converter = Arg.conv (parse, print) in
   Arg.(value & opt protocol_converter Bidir.Protocol.Tdbc
-       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:"Protocol: dt, mabc, tdbc or hbc.")
+       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:"Protocol: dt, naive, mabc, tdbc or hbc.")
 
 let kind_arg =
   let doc = "Evaluate the outer (converse) bound instead of the achievable region." in
@@ -1082,7 +1082,7 @@ let check_cmd =
     Arg.(required & opt (some string) None
          & info [ "against" ] ~docv:"FILE"
              ~doc:"Baseline snapshot to diff against (written by a \
-                   previous $(b,--update) run, or by $(b,bench)).")
+                   previous $(b,--update) run).")
   in
   let tolerance_arg =
     Arg.(value & opt float 50.
@@ -1389,6 +1389,8 @@ let loadgen_cmd =
           [ ("schema", Telemetry.Json.String "bidir-trajectory/1");
             ("ts", Telemetry.Json.Float (Unix.gettimeofday ()));
             ("label", Telemetry.Json.String "loadgen");
+            ("nproc", Telemetry.Json.Int (Domain.recommended_domain_count ()));
+            ("ocaml", Telemetry.Json.String Sys.ocaml_version);
             ("serve_qps", Telemetry.Json.Float r.Serve.Loadgen.qps);
             ("serve_p50", Telemetry.Json.Float r.Serve.Loadgen.p50);
             ("serve_p90", Telemetry.Json.Float r.Serve.Loadgen.p90);

@@ -375,41 +375,18 @@ let run (cfg : config) (w : workload) =
     Telemetry.Stream.pulse_live ()
   in
   let stopped_early = ref false in
-  (* With no checkpoint, no stopping rule, no progress consumer and no
-     live stream, batch boundaries are unobservable — so issue ONE pool
-     fan-out over all remaining replications instead of one per batch.
-     The RNG split order and the (sequential, replication-order)
-     accumulation are identical either way, so the result stays
-     byte-identical; only the fan-out count changes. *)
-  let fused =
-    cfg.checkpoint = None && cfg.ci_target = None
-    && Option.is_none cfg.on_progress
-    && not (Telemetry.Stream.enabled ())
-  in
-  if fused then begin
-    let remaining = cfg.replications - st.completed in
-    if remaining > 0 then begin
-      let tasks =
-        List.init remaining (fun i -> (st.completed + i, Prob.Rng.split parent))
-      in
-      let observations = Engine.Pool.map ~domains:cfg.domains run_one tasks in
-      List.iter (accumulate st) observations;
-      Telemetry.Metrics.add replications_counter remaining
-    end
-  end
-  else
-    while st.completed < cfg.replications && not !stopped_early do
-      let n = min cfg.batch (cfg.replications - st.completed) in
-      let tasks = List.init n (fun i -> (st.completed + i, Prob.Rng.split parent)) in
-      let observations = Engine.Pool.map ~domains:cfg.domains run_one tasks in
-      List.iter (accumulate st) observations;
-      Telemetry.Metrics.add replications_counter n;
-      (match cfg.checkpoint with
-      | Some path -> write_checkpoint path w cfg st
-      | None -> ());
-      if ci_target_met st cfg.ci_target then stopped_early := true;
-      emit_progress ()
-    done;
+  while st.completed < cfg.replications && not !stopped_early do
+    let n = min cfg.batch (cfg.replications - st.completed) in
+    let tasks = List.init n (fun i -> (st.completed + i, Prob.Rng.split parent)) in
+    let observations = Engine.Pool.map ~domains:cfg.domains run_one tasks in
+    List.iter (accumulate st) observations;
+    Telemetry.Metrics.add replications_counter n;
+    (match cfg.checkpoint with
+    | Some path -> write_checkpoint path w cfg st
+    | None -> ());
+    if ci_target_met st cfg.ci_target then stopped_early := true;
+    emit_progress ()
+  done;
   (* fold the per-replication counters into the global registry once,
      from the final totals (a resumed run must not double-count the
      replications its checkpoint already covered) *)

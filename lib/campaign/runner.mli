@@ -20,14 +20,6 @@
     are domain-independent, a resumed or early-stopped campaign is also
     byte-identical across domain counts.
 
-    When batch boundaries are unobservable — no checkpoint, no stopping
-    rule, no [on_progress] hook and live streaming off — the runner
-    fuses the whole campaign into a single pool fan-out instead of one
-    per batch, amortising the per-map fan-out cost across the entire
-    run. The RNG split order and the sequential replication-order merge
-    are identical on both paths, so fusion never changes the result (a
-    property the tests assert byte-for-byte).
-
     Telemetry: the whole run executes under a [campaign.run] span; each
     replication runs under a [campaign.shard] span and its wall-clock
     seconds land in the [campaign.shard_seconds] histogram. The

@@ -292,14 +292,3 @@ let discrete_table ?(p_range = [ 0.01; 0.05; 0.1; 0.2 ]) () =
     headers = [ "relay-link p"; "protocol"; "sum rate" ];
     rows;
   }
-
-let all_figures () =
-  [ fig3 (); fig3_snr (); fig4 ~power_db:0. (); fig4 ~power_db:10. () ]
-
-let all_tables () =
-  [ gap_table ();
-    crossover_table ();
-    hbc_witness_table ();
-    coding_gain_table ();
-    discrete_table ();
-  ]

@@ -1,6 +1,6 @@
 (** Data generators for every figure and table in the paper's evaluation
     (see DESIGN.md's per-experiment index). Each generator returns plain
-    data so the bench harness, the CLI and the examples can render it
+    data so the CLI, the report renderers and the examples can render it
     however they like (terminal plot, CSV, markdown table). *)
 
 type series = { label : string; points : (float * float) list }
@@ -65,6 +65,3 @@ val discrete_table : ?p_range:float list -> unit -> table
 (** Extension (not in the paper): optimal sum rates of the three relay
     protocols on the all-BSC network as the link noise sweeps, evaluated
     with uniform inputs. *)
-
-val all_figures : unit -> figure list
-val all_tables : unit -> table list

@@ -21,7 +21,7 @@ val lp_constraints : Bound.t -> int * Linprog.Solver.constr list
 (** The raw LP behind every query on this region: variable count and
     constraint rows over [x = [Ra; Rb; d_1; ...; d_L]] (the bound's
     terms as [<=] rows plus the duration simplex equality). Exposed so
-    harnesses (the bench's warm-solve timings, the tests' LP oracle)
+    harnesses (perfbench's warm-solve timings, the tests' LP oracle)
     can drive {!Linprog.Solver} on the exact production system;
     ordinary callers never need it. *)
 

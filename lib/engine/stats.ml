@@ -106,17 +106,15 @@ let snapshot () =
 
 let reset () = Telemetry.Metrics.reset ()
 
-let hit_rate s =
-  let total = s.cache_hits + s.cache_misses in
-  if total = 0 then 0. else float_of_int s.cache_hits /. float_of_int total
-
 let to_string s =
   let b = Buffer.create 256 in
+  let lookups = s.cache_hits + s.cache_misses in
   Printf.bprintf b
     "engine stats: %d LP solves, %d cache hits / %d misses (%.1f%% hit \
      rate), %d pool tasks\n"
     s.lp_solves s.cache_hits s.cache_misses
-    (100. *. hit_rate s)
+    (if lookups = 0 then 0.
+     else 100. *. float_of_int s.cache_hits /. float_of_int lookups)
     s.pool_tasks;
   if s.lp_pivots > 0 then
     Printf.bprintf b

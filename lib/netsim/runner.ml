@@ -76,9 +76,10 @@ let decode_outcome protocol ~power ~(gains : Channel.Gains.t) ~deltas ~ra ~rb =
   let d l = deltas.(l) in
   match protocol with
   | Bidir.Protocol.Dt ->
+    (* no relay: each message crosses the direct link *)
     let b_gets_a = ra <= (d 0 *. c g_ab) +. 1e-9 in
     let a_gets_b = rb <= (d 1 *. c g_ab) +. 1e-9 in
-    { relay_ok = true;
+    { relay_ok = false;
       b_gets_a;
       a_gets_b;
       failed_phase = (if not b_gets_a then Some 1 else if not a_gets_b then Some 2 else None);

@@ -51,7 +51,10 @@ val schedule_for : config -> Channel.Gains.t -> float array * float * float
     schedule otherwise). Exposed for the detailed simulator. *)
 
 type block_outcome = {
-  relay_ok : bool;   (** relay decoded both messages *)
+  relay_ok : bool;
+      (** the relay decoded both messages, so the terminals decode
+          through its XOR broadcast; always false for DT (no relay) and
+          NAIVE (per-hop forwarding, no coding) *)
   b_gets_a : bool;   (** terminal b decoded a's message *)
   a_gets_b : bool;
   failed_phase : int option;  (** earliest phase whose constraint broke *)

@@ -63,11 +63,6 @@ let table_csv (t : Bidir.Figures.table) =
   Chart.Table.render_csv ~headers:t.Bidir.Figures.headers
     ~rows:t.Bidir.Figures.rows
 
-let render_all () =
-  let figures = List.map render_figure (Bidir.Figures.all_figures ()) in
-  let tables = List.map render_table (Bidir.Figures.all_tables ()) in
-  String.concat "\n" (figures @ tables)
-
 let protocol_map ?(positions = 33) ?(powers = 15)
     ?(power_range_db = (-10., 20.)) ?(exponent = 3.) () =
   let lo_db, hi_db = power_range_db in

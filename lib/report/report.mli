@@ -19,10 +19,6 @@ val figure_csv : Bidir.Figures.figure -> string
 
 val table_csv : Bidir.Figures.table -> string
 
-val render_all : unit -> string
-(** Every figure and table of the paper reproduction, concatenated — the
-    full evaluation in one string. *)
-
 val protocol_map :
   ?positions:int -> ?powers:int -> ?power_range_db:float * float ->
   ?exponent:float -> unit -> string

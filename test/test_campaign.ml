@@ -247,10 +247,9 @@ let test_progress_hook () =
   | None -> Alcotest.fail "final progress lacks an eta");
   Alcotest.(check int) "hook is observation-only" 64 result.R.completed
 
-(* The fused single-fan-out path (no hook, no checkpoint, no stopping
-   rule, streaming off) must produce the same bytes as the per-batch
-   path, at any domain count. *)
-let test_fused_path_byte_identical () =
+(* A progress hook only observes: with or without one, the campaign
+   renders the same bytes, at any domain count. *)
+let test_progress_hook_byte_identical () =
   let run ?on_progress domains =
     render
       (R.run
@@ -258,12 +257,12 @@ let test_fused_path_byte_identical () =
             ~replications:24 ())
          (W.ergodic ~blocks_per_rep:30 ()))
   in
-  let fused = run 1 in
-  Alcotest.(check string) "per-batch (hook) matches fused, 1 domain" fused
+  let plain = run 1 in
+  Alcotest.(check string) "hook matches no hook, 1 domain" plain
     (run ~on_progress:(fun _ -> ()) 1);
-  Alcotest.(check string) "per-batch (hook) matches fused, 4 domains" fused
+  Alcotest.(check string) "hook matches no hook, 4 domains" plain
     (run ~on_progress:(fun _ -> ()) 4);
-  Alcotest.(check string) "fused, 4 domains" fused (run 4)
+  Alcotest.(check string) "no hook, 4 domains" plain (run 4)
 
 (* Live streaming on: the runner emits per-batch progress events and
    heartbeats into the live file without changing the result. *)
@@ -330,8 +329,8 @@ let suites =
     ( "campaign.progress",
       [ Alcotest.test_case "hook fires at batch boundaries" `Quick
           test_progress_hook;
-        Alcotest.test_case "fused fan-out matches per-batch, domains 1/4"
-          `Quick test_fused_path_byte_identical;
+        Alcotest.test_case "progress hook keeps bytes, domains 1/4" `Quick
+          test_progress_hook_byte_identical;
         Alcotest.test_case "live streaming is observation-only" `Quick
           test_streaming_byte_identical;
       ] );

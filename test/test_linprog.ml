@@ -544,8 +544,28 @@ let lp_alloc_bytes f =
    allocates zero words — tableau, scratch, pricing, telemetry and the
    solution hand-off all live in preallocated buffers. The accounting
    is exact, so the budget is 0 bytes across the whole sweep: a single
-   heap block anywhere on the warm path of any of the 64 solves fails
-   it (the historical nested-array engine allocated ~59 B/solve). *)
+   heap block anywhere on the warm path of any solve fails it (the
+   historical nested-array engine allocated ~59 B/solve). A first pass
+   settles the basis and faults in every code path; the second is
+   measured. Every solve must be optimal. *)
+let check_warm_sweep_zero_alloc ~nvars ~constrs objectives =
+  let solver = Linprog.Solver.create ~nvars ~constrs in
+  let x = Array.make (nvars + 1) 0. in
+  let sweep () =
+    Array.iter
+      (fun c ->
+        match Linprog.Solver.reoptimize_into solver ~c ~x with
+        | Linprog.Solver.Optimal -> ()
+        | Linprog.Solver.Unbounded | Linprog.Solver.Infeasible ->
+          Alcotest.fail "warm sweep: LP not optimal")
+      objectives
+  in
+  sweep ();
+  Alcotest.(check int)
+    (Printf.sprintf "bytes allocated across %d warm solves"
+       (Array.length objectives))
+    0 (lp_alloc_bytes sweep)
+
 let test_reoptimize_into_zero_alloc () =
   let nvars = 5 and nrows = 7 and n = 64 in
   let rng = Prob.Rng.create ~seed:99 in
@@ -556,25 +576,27 @@ let test_reoptimize_into_zero_alloc () =
         in
         c_ coeffs le (Prob.Rng.float_range rng ~lo:1. ~hi:5.))
   in
-  let objectives =
-    Array.init n (fun _ ->
-        Array.init nvars (fun _ -> Prob.Rng.float_range rng ~lo:0.1 ~hi:1.))
+  check_warm_sweep_zero_alloc ~nvars ~constrs
+    (Array.init n (fun _ ->
+         Array.init nvars (fun _ -> Prob.Rng.float_range rng ~lo:0.1 ~hi:1.)))
+
+(* The same budget on the production LP: the TDBC inner-bound system of
+   the paper's Fig. 4 channel at P = 10 dB, swept over 129 weightings
+   of (Ra, Rb). *)
+let test_reoptimize_into_zero_alloc_production () =
+  let bound =
+    Bidir.Gaussian.bounds Bidir.Protocol.Tdbc Bidir.Bound.Inner
+      (Bidir.Gaussian.scenario ~power_db:10. ~gains:Channel.Gains.paper_fig4)
   in
-  let solver = Linprog.Solver.create ~nvars ~constrs in
-  let x = Array.make (nvars + 1) 0. in
-  (* warm pass: settle the basis, fault in every code path *)
-  for i = 0 to n - 1 do
-    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
-  done;
-  let bytes =
-    lp_alloc_bytes (fun () ->
-        for i = 0 to n - 1 do
-          ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
-        done)
-  in
-  Alcotest.(check int)
-    (Printf.sprintf "bytes allocated across %d warm solves" n)
-    0 bytes
+  let nvars, constrs = Bidir.Rate_region.lp_constraints bound in
+  let n = 129 in
+  check_warm_sweep_zero_alloc ~nvars ~constrs
+    (Array.init n (fun i ->
+         let w = float_of_int i /. float_of_int (n - 1) in
+         let c = Array.make nvars 0. in
+         c.(0) <- w;
+         c.(1) <- 1. -. w;
+         c))
 
 (* [linprog.alloc_bytes] is a gated budget, so a fixed LP sequence must
    charge the same bytes wherever minor collections fall. On a small
@@ -826,6 +848,8 @@ let suites =
           test_solver_stress_basis_carry;
         Alcotest.test_case "warm reoptimize_into allocates zero words" `Quick
           test_reoptimize_into_zero_alloc;
+        Alcotest.test_case "warm production TDBC sweep allocates 0 B" `Quick
+          test_reoptimize_into_zero_alloc_production;
         Alcotest.test_case "alloc_bytes independent of GC phase" `Quick
           test_alloc_bytes_independent_of_gc_phase;
         Alcotest.test_case "rate-region solver slot reloads when it should"

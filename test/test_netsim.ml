@@ -277,6 +277,25 @@ let test_decode_outcome_consistent_with_bounds () =
         (Netsim.Metrics.outage_rate r.Netsim.Runner.metrics))
     Bidir.Protocol.all
 
+(* DT has no relay: its messages never take the XOR relay path, at any
+   gains, schedule or rates, whether or not they decode. *)
+let test_dt_routes_directly () =
+  let rng = Prob.Rng.create ~seed:41 in
+  let decoded = ref 0 in
+  for _ = 1 to 200 do
+    let g () = 0.01 +. (10. *. Prob.Rng.float rng) in
+    let gains = Channel.Gains.make ~g_ab:(g ()) ~g_ar:(g ()) ~g_br:(g ()) in
+    let d0 = Prob.Rng.float rng in
+    let o =
+      Netsim.Runner.decode_outcome Bidir.Protocol.Dt ~power:10. ~gains
+        ~deltas:[| d0; 1. -. d0 |] ~ra:(2. *. Prob.Rng.float rng)
+        ~rb:(2. *. Prob.Rng.float rng)
+    in
+    Alcotest.(check bool) "DT relay_ok" false o.Netsim.Runner.relay_ok;
+    if o.Netsim.Runner.b_gets_a && o.Netsim.Runner.a_gets_b then incr decoded
+  done;
+  Alcotest.(check bool) "some blocks decode" true (!decoded > 0)
+
 let test_backoff_under_fading_reduces_outage () =
   let fading seed = Channel.Fading.create ~rng_seed:seed ~mean:paper_gains () in
   let base =
@@ -498,6 +517,7 @@ let suites =
       [ Alcotest.test_case "adaptive = analytic" `Quick test_adaptive_matches_analytic;
         Alcotest.test_case "ordering matches paper" `Quick test_simulated_ordering_matches_paper;
         Alcotest.test_case "consistent with bounds" `Quick test_decode_outcome_consistent_with_bounds;
+        Alcotest.test_case "DT routes directly" `Quick test_dt_routes_directly;
         Alcotest.test_case "fading: adaptive vs fixed" `Quick test_backoff_under_fading_reduces_outage;
         Alcotest.test_case "determinism" `Quick test_runner_determinism;
         Alcotest.test_case "seeded results pinned" `Quick test_runner_pinned;
