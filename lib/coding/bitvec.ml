@@ -1,10 +1,34 @@
-type t = { len : int; data : Bytes.t }
+(* [data] may be longer than the [bytes_needed len] bytes in use, so
+   that a reused vector keeps its buffer. Every bit past [len], in the
+   last byte in use and in every later byte, is zero: [equal] and
+   [weight] compare and count bytes, and a vector that grows back over
+   old bytes finds them clear. *)
+type t = { mutable len : int; mutable data : Bytes.t }
 
 let bytes_needed len = (len + 7) / 8
 
 let create len =
   if len < 0 then invalid_arg "Bitvec.create: negative length";
   { len; data = Bytes.make (bytes_needed len) '\000' }
+
+let empty = create 0
+
+(* Gives [t] length [len], leaving bytes [0, bytes_needed len) for the
+   caller to overwrite and clearing the bytes in use past them. A buffer
+   too short is replaced by one at least twice as long, so a vector
+   reused across lengths stops allocating. *)
+let resize t len =
+  if len < 0 then invalid_arg "Bitvec: negative length";
+  if t == empty then invalid_arg "Bitvec: the shared empty vector cannot be resized";
+  let nb = bytes_needed len and used = bytes_needed t.len in
+  if nb > Bytes.length t.data then
+    t.data <- Bytes.make (max nb (2 * Bytes.length t.data)) '\000'
+  else if nb < used then Bytes.fill t.data nb (used - nb) '\000';
+  t.len <- len
+
+let reset t len =
+  resize t len;
+  Bytes.fill t.data 0 (bytes_needed len) '\000'
 
 let length t = t.len
 
@@ -25,19 +49,20 @@ let set t i v =
   Bytes.set t.data pos (Char.chr (byte land 0xFF))
 
 let get_byte t i =
-  if i < 0 || i >= Bytes.length t.data then
+  if i < 0 || i >= bytes_needed t.len then
     invalid_arg "Bitvec.get_byte: index out of bounds";
   Char.code (Bytes.get t.data i)
 
 let get_uint32_le t i = Int32.to_int (Bytes.get_int32_le t.data i) land 0xFFFF_FFFF
 
-let empty = create 0
+let copy t = { len = t.len; data = Bytes.sub t.data 0 (bytes_needed t.len) }
 
-let copy t = { len = t.len; data = Bytes.copy t.data }
-
-(* Every vector keeps the bits past [len] in its last byte at zero, so
-   that [equal] can compare bytes and [weight] can count them. *)
-let equal a b = a.len = b.len && Bytes.equal a.data b.data
+(* the buffers may differ in length past the bytes in use *)
+let equal a b =
+  a.len = b.len
+  &&
+  let rec same i = i < 0 || (Bytes.get a.data i = Bytes.get b.data i && same (i - 1)) in
+  same (bytes_needed a.len - 1)
 
 (* The padding bits of [mask] are zero, so its bytes read as the
    zero-padded mask up to its byte length, and as zero past it. Each
@@ -47,7 +72,7 @@ let xor_equal_prefix a ~mask b ~len =
     invalid_arg "Bitvec.xor_equal_prefix: length out of range";
   let a = a.data and b = b.data and m = mask.data in
   let full = len / 8 in
-  let masked = min full (Bytes.length m) in
+  let masked = min full (bytes_needed mask.len) in
   let byte v j = if j < Bytes.length v then Char.code (Bytes.get v j) else 0 in
   let ok = ref true and j = ref 0 in
   while !ok && !j + 8 <= masked do
@@ -108,14 +133,18 @@ let popcount_byte = Array.init 256 (fun b ->
 
 let weight t =
   let acc = ref 0 in
-  for i = 0 to Bytes.length t.data - 1 do
+  for i = 0 to bytes_needed t.len - 1 do
     acc := !acc + popcount_byte.(Char.code (Bytes.get t.data i))
   done;
   !acc
 
+let random_into rng t len =
+  resize t len;
+  Prob.Rng.fill_bits rng t.data len
+
 let random rng len =
   let t = create len in
-  Prob.Rng.fill_bits rng t.data len;
+  random_into rng t len;
   t
 
 let of_string s =
@@ -158,14 +187,14 @@ let to_int t =
 
 let append a b =
   let t = create (a.len + b.len) in
-  Bytes.blit a.data 0 t.data 0 (Bytes.length a.data);
+  Bytes.blit a.data 0 t.data 0 (bytes_needed a.len);
   let q = a.len / 8 and s = a.len land 7 in
-  if s = 0 then Bytes.blit b.data 0 t.data q (Bytes.length b.data)
+  if s = 0 then Bytes.blit b.data 0 t.data q (bytes_needed b.len)
   else begin
     (* byte i of b straddles bytes q+i and q+i+1 of t; a's padding bits
        in byte q are zero, so or-ing b in is enough *)
     let n = Bytes.length t.data in
-    for i = 0 to Bytes.length b.data - 1 do
+    for i = 0 to bytes_needed b.len - 1 do
       let x = Char.code (Bytes.get b.data i) and j = q + i in
       Bytes.set t.data j
         (Char.unsafe_chr ((Char.code (Bytes.get t.data j) lor (x lsl s)) land 0xFF));

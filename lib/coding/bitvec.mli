@@ -1,9 +1,20 @@
-(** Fixed-length bit vectors over GF(2), packed into bytes. *)
+(** Bit vectors over GF(2), packed into bytes.
+
+    A vector's length is fixed except through {!reset} and
+    {!random_into}, which let one vector carry block after block: its
+    buffer grows to the longest length it has held and is kept, so a
+    warm vector is rewritten without allocating. *)
 
 type t
 
 val create : int -> t
 (** All-zero vector of the given length; length 0 is allowed. *)
+
+val reset : t -> int -> unit
+(** [reset t len] makes [t] the all-zero vector of length [len], in
+    place. It reuses [t]'s buffer when that holds [len] bits; otherwise
+    it replaces it with one at least twice as long. Raises
+    [Invalid_argument] on a negative length or on {!empty}. *)
 
 val length : t -> int
 val get : t -> int -> bool
@@ -50,7 +61,13 @@ val weight : t -> int
 (** Hamming weight. *)
 
 val random : Prob.Rng.t -> int -> t
-(** Uniformly random vector of the given length. *)
+(** Uniformly random vector of the given length, drawn by
+    {!Prob.Rng.fill_bits}. *)
+
+val random_into : Prob.Rng.t -> t -> int -> unit
+(** [random_into rng t len] makes [t] the vector {!random} [rng len]
+    would return, drawing the same bits, in place; its buffer is reused
+    as by {!reset}. *)
 
 val of_string : string -> t
 (** ["0110"]-style literals; raises [Invalid_argument] on other chars. *)

@@ -76,9 +76,6 @@ let tag bits =
   done;
   !t
 
-let append_crc16 payload =
-  Bitvec.append payload (Bitvec.of_int ~width:16 (crc16 payload))
-
 let valid_crc16 packet =
   let len = Bitvec.length packet in
   len >= 16 && crc16_prefix packet (len - 16) = tag packet
@@ -95,3 +92,15 @@ let seal_crc16 packet =
   for i = 0 to 15 do
     Bitvec.set packet (base + i) ((crc lsr i) land 1 = 1)
   done
+
+let append_crc16_into ~dst payload =
+  if dst == payload then invalid_arg "Crc.append_crc16_into: dst is the payload";
+  let len = Bitvec.length payload in
+  Bitvec.reset dst (len + 16);
+  Bitvec.xor_prefix_into ~dst payload ~len;
+  seal_crc16 dst
+
+let append_crc16 payload =
+  let dst = Bitvec.create (Bitvec.length payload + 16) in
+  append_crc16_into ~dst payload;
+  dst

@@ -14,6 +14,12 @@ val crc16 : Bitvec.t -> int
 val append_crc16 : Bitvec.t -> Bitvec.t
 (** Payload followed by its 16 checksum bits. *)
 
+val append_crc16_into : dst:Bitvec.t -> Bitvec.t -> unit
+(** [append_crc16_into ~dst payload] makes [dst] the vector
+    {!append_crc16} [payload] would return, in place, reusing [dst]'s
+    buffer as {!Bitvec.reset} does. Raises [Invalid_argument] when
+    [dst] is [payload]. *)
+
 val check_crc16 : Bitvec.t -> Bitvec.t option
 (** Validates a vector produced by {!append_crc16}; returns the payload
     when the checksum matches, [None] otherwise. The payload is copied

@@ -9,16 +9,22 @@ let combine wa wb =
   Bitvec.xor_prefix_into ~dst:r short ~len:(Bitvec.length short);
   r
 
-let combine_framed fa fb =
-  if not (Crc.valid_crc16 fa && Crc.valid_crc16 fb) then None
-  else begin
+let combine_framed_into ~dst fa fb =
+  if dst == fa || dst == fb then
+    invalid_arg "Xor_relay.combine_framed_into: dst is an input";
+  Crc.valid_crc16 fa && Crc.valid_crc16 fb
+  && begin
     let la = Bitvec.length fa - 16 and lb = Bitvec.length fb - 16 in
-    let r = Bitvec.create (max la lb + 16) in
-    Bitvec.xor_prefix_into ~dst:r fa ~len:la;
-    Bitvec.xor_prefix_into ~dst:r fb ~len:lb;
-    Crc.seal_crc16 r;
-    Some r
+    Bitvec.reset dst (max la lb + 16);
+    Bitvec.xor_prefix_into ~dst fa ~len:la;
+    Bitvec.xor_prefix_into ~dst fb ~len:lb;
+    Crc.seal_crc16 dst;
+    true
   end
+
+let combine_framed fa fb =
+  let dst = Bitvec.create 0 in
+  if combine_framed_into ~dst fa fb then Some dst else None
 
 let check_framed ~own framed ~expected =
   if not (Crc.valid_crc16 framed) then None

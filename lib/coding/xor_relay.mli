@@ -11,8 +11,15 @@ val combine : Bitvec.t -> Bitvec.t -> Bitvec.t
 val combine_framed : Bitvec.t -> Bitvec.t -> Bitvec.t option
 (** [combine_framed fa fb] is the relay's combine on CRC-framed words
     (see {!Crc.append_crc16}): when both checksums hold, the framed
-    [combine] of the two payloads, built in one allocation without
-    copying either payload out; [None] when a checksum fails. *)
+    [combine] of the two payloads, built without copying either
+    payload out; [None] when a checksum fails. *)
+
+val combine_framed_into : dst:Bitvec.t -> Bitvec.t -> Bitvec.t -> bool
+(** [combine_framed_into ~dst fa fb] is {!combine_framed} writing into
+    [dst], reusing its buffer as {!Bitvec.reset} does: [true] with
+    [dst] the framed combine, or [false] with [dst] untouched when a
+    checksum fails. Raises [Invalid_argument] when [dst] is [fa] or
+    [fb]. *)
 
 val check_framed : own:Bitvec.t -> Bitvec.t -> expected:Bitvec.t -> bool option
 (** [check_framed ~own framed ~expected] is a terminal's check of a

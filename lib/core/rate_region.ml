@@ -273,47 +273,6 @@ let distance_outside b ~ra ~rb =
     Numerics.Polygon.distance_to_boundary (polygon b)
       (Numerics.Vec2.make ra rb)
 
-let max_product ?weights b =
-  let pts = boundary ?weights b in
-  (* the product is a quadratic along each frontier edge; its interior
-     critical point is t* = -(x0 dy + y0 dx) / (2 dx dy) *)
-  let edge_best (p : Numerics.Vec2.t) (q : Numerics.Vec2.t) =
-    let candidates =
-      let dx = q.Numerics.Vec2.x -. p.Numerics.Vec2.x in
-      let dy = q.Numerics.Vec2.y -. p.Numerics.Vec2.y in
-      let interior =
-        if abs_float (dx *. dy) < 1e-15 then []
-        else begin
-          let t =
-            -.((p.Numerics.Vec2.x *. dy) +. (p.Numerics.Vec2.y *. dx))
-            /. (2. *. dx *. dy)
-          in
-          if t > 0. && t < 1. then [ Numerics.Vec2.lerp p q t ] else []
-        end
-      in
-      p :: q :: interior
-    in
-    Numerics.Float_utils.max_by
-      (fun (v : Numerics.Vec2.t) -> v.Numerics.Vec2.x *. v.Numerics.Vec2.y)
-      candidates
-  in
-  match pts with
-  | [] -> Numerics.Vec2.zero
-  | [ p ] -> p
-  | first :: rest ->
-    let _, best =
-      List.fold_left
-        (fun (prev, best) q ->
-          let cand = edge_best prev q in
-          let better =
-            cand.Numerics.Vec2.x *. cand.Numerics.Vec2.y
-            > best.Numerics.Vec2.x *. best.Numerics.Vec2.y
-          in
-          (q, if better then cand else best))
-        (first, first) rest
-    in
-    best
-
 let union_polygon ?weights bounds =
   if bounds = [] then invalid_arg "Rate_region.union_polygon: no regions";
   Numerics.Polygon.down_closure

@@ -68,12 +68,6 @@ val distance_outside : Bound.t -> ra:float -> rb:float -> float
     the pair to the region's polygon — used to quantify by how much an
     HBC point escapes the MABC/TDBC outer bounds. *)
 
-val max_product : ?weights:int -> Bound.t -> Numerics.Vec2.t
-(** The proportional-fair operating point: the rate pair on the Pareto
-    frontier maximising [Ra * Rb] (equivalently [log Ra + log Rb]).
-    Exact up to the boundary discretisation: the product is maximised in
-    closed form on every frontier edge. *)
-
 val union_polygon : ?weights:int -> Bound.t list -> Numerics.Vec2.t list
 (** Down-closed convex hull of the union of several regions — the
     time-sharing operation behind the |Q| > 1 form of the theorems

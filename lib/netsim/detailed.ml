@@ -35,12 +35,10 @@ let run (cfg : Runner.config) =
     let t0 = float_of_int (index * n) in
     let gains = Channel.Fading.draw cfg.fading in
     Radio.set_gains radio gains;
-    (let s = Bidir.Gaussian.scenario_lin ~power:cfg.power ~gains in
-     let opt = Bidir.Optimize.sum_rate cfg.protocol Bidir.Bound.Inner s in
-     analytic_acc := !analytic_acc +. opt.Bidir.Optimize.sum_rate);
-    let deltas, ra, rb = Runner.schedule_for cfg gains in
-    let bits_a = int_of_float (ra *. nf) in
-    let bits_b = int_of_float (rb *. nf) in
+    let plan = Runner.plan cfg gains in
+    analytic_acc := !analytic_acc +. plan.Runner.optimum;
+    let bits_a = int_of_float (plan.Runner.ra *. nf) in
+    let bits_b = int_of_float (plan.Runner.rb *. nf) in
     let ra_eff = float_of_int bits_a /. nf in
     let rb_eff = float_of_int bits_b /. nf in
     Node.reset node_a;
@@ -54,7 +52,7 @@ let run (cfg : Runner.config) =
        accumulated rounding can never spill a phase into the next block.
        Durations are clamped at zero first: an LP optimum can carry a
        phase of -1e-16, which would end before it starts *)
-    let deltas = Array.map (Float.max 0.) deltas in
+    let deltas = Array.map (Float.max 0.) plan.Runner.deltas in
     let num_phases = Array.length deltas in
     let total = Numerics.Float_utils.sum deltas in
     let boundaries =

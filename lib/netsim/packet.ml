@@ -15,16 +15,19 @@ let fresh ~src ?dst ~seq payload =
 
 let payload_bits t = max 0 (Coding.Bitvec.length t.payload - 16)
 
-let corrupt rng t =
-  let corrupted = Coding.Bitvec.copy t.payload in
-  let len = Coding.Bitvec.length corrupted in
+let flip_bits rng bits =
+  let len = Coding.Bitvec.length bits in
   if len > 0 then begin
     let flips = 1 + Prob.Rng.int rng (max 1 (len / 8)) in
     for _ = 1 to flips do
       let i = Prob.Rng.int rng len in
-      Coding.Bitvec.set corrupted i (not (Coding.Bitvec.get corrupted i))
+      Coding.Bitvec.set bits i (not (Coding.Bitvec.get bits i))
     done
-  end;
+  end
+
+let corrupt rng t =
+  let corrupted = Coding.Bitvec.copy t.payload in
+  flip_bits rng corrupted;
   { t with payload = corrupted; checksum_ok = false }
 
 let verify t = Coding.Crc.check_crc16 t.payload

@@ -18,6 +18,10 @@ val fresh : src:node_id -> ?dst:node_id -> seq:int -> Coding.Bitvec.t -> t
 
 val payload_bits : t -> int
 
+val flip_bits : Prob.Rng.t -> Coding.Bitvec.t -> unit
+(** Flip a handful of random bits of a framed payload in place: the
+    damage {!corrupt} does to its copy, drawing the same numbers. *)
+
 val corrupt : Prob.Rng.t -> t -> t
 (** Flip a handful of random payload bits (what a receiver in outage
     would hand up) — the CRC then fails with overwhelming probability,

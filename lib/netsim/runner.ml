@@ -22,7 +22,7 @@ type result = {
   elapsed_symbols : float;
 }
 
-type schedule = { deltas : float array; ra : float; rb : float }
+type plan = { deltas : float array; ra : float; rb : float; optimum : float }
 
 (* Decode outcomes of one block. [failed_phase] points at the earliest
    phase whose constraint broke (for outage attribution). *)
@@ -50,20 +50,20 @@ let validate cfg =
   if cfg.blocks <= 0 then invalid_arg "Runner: blocks must be positive";
   if cfg.power < 0. then invalid_arg "Runner: negative power"
 
-let instantaneous_schedule cfg gains =
+(* one LP optimum per block: the adaptive schedule and the analytic
+   benchmark both come from it *)
+let plan cfg gains =
+  let s = Bidir.Gaussian.scenario_lin ~power:cfg.power ~gains in
+  let r = Bidir.Optimize.sum_rate cfg.protocol Bidir.Bound.Inner s in
+  let optimum = r.Bidir.Optimize.sum_rate in
   match cfg.mode with
-  | Fixed { deltas; ra; rb } -> { deltas; ra; rb }
+  | Fixed { deltas; ra; rb } -> { deltas; ra; rb; optimum }
   | Adaptive { backoff } ->
-    let s = Bidir.Gaussian.scenario_lin ~power:cfg.power ~gains in
-    let r = Bidir.Optimize.sum_rate cfg.protocol Bidir.Bound.Inner s in
     { deltas = r.Bidir.Optimize.deltas;
       ra = r.Bidir.Optimize.ra *. (1. -. backoff);
       rb = r.Bidir.Optimize.rb *. (1. -. backoff);
+      optimum;
     }
-
-let schedule_for cfg gains =
-  let s = instantaneous_schedule cfg gains in
-  (s.deltas, s.ra, s.rb)
 
 (* Success logic per protocol: the inner-bound expressions of Theorems
    2, 3 and 5 at the realised gains. [ra]/[rb] are bits per block use.
@@ -173,44 +173,64 @@ let decode_outcome protocol ~power ~(gains : Channel.Gains.t) ~deltas ~ra ~rb =
          else None);
     }
 
+(* One block's vectors: the two payloads, their CRC frames and the
+   relay word. Each domain keeps one workspace and rewrites it block
+   after block; a vector's buffer grows to the longest block it has
+   carried and is kept, so a warm block allocates nothing on the major
+   heap (payload-sized bytes skip the minor heap). *)
+type workspace = {
+  wa : Coding.Bitvec.t;
+  wb : Coding.Bitvec.t;
+  fa : Coding.Bitvec.t;
+  fb : Coding.Bitvec.t;
+  relay : Coding.Bitvec.t;
+}
+
+let workspace =
+  Domain.DLS.new_key (fun () ->
+      let v () = Coding.Bitvec.create 0 in
+      { wa = v (); wb = v (); fa = v (); fb = v (); relay = v () })
+
 (* One block's bit-level pipeline given its decode outcome. Returns the
    (delivered_a, delivered_b, bit_error_count) triple after CRC checks
    and payload comparison. The relay word is built at most once, and
    only when a direction decodes through it. *)
-let move_bits rng ~outcome ~bits_a ~bits_b ~seq =
-  let wa = Coding.Bitvec.random rng bits_a in
-  let wb = Coding.Bitvec.random rng bits_b in
-  let pkt_a = Packet.fresh ~src:Packet.A ~seq wa in
-  let pkt_b = Packet.fresh ~src:Packet.B ~seq wb in
+let move_bits rng ~outcome ~bits_a ~bits_b =
+  let ws = Domain.DLS.get workspace in
+  Coding.Bitvec.random_into rng ws.wa bits_a;
+  Coding.Bitvec.random_into rng ws.wb bits_b;
+  Coding.Crc.append_crc16_into ~dst:ws.fa ws.wa;
+  Coding.Crc.append_crc16_into ~dst:ws.fb ws.wb;
   let bit_errors = ref 0 in
-  let check ~own (pkt : Packet.t) expected =
-    match Coding.Xor_relay.check_framed ~own pkt.payload ~expected with
+  let check ~own framed expected =
+    match Coding.Xor_relay.check_framed ~own framed ~expected with
     | None -> false
     | Some ok ->
       if not ok then incr bit_errors;
       ok
   in
-  (* the relay combined both clean packets; a terminal xors its own
-     message back out *)
-  let relay =
-    if outcome.relay_ok && (outcome.b_gets_a || outcome.a_gets_b) then
-      Some (Packet.xor_payloads pkt_a pkt_b ~src:Packet.R ~seq)
-    else None
+  (* the relay combined both clean frames (just sealed, so the combine
+     succeeds); a terminal xors its own message back out *)
+  let relayed =
+    outcome.relay_ok
+    && (outcome.b_gets_a || outcome.a_gets_b)
+    && Coding.Xor_relay.combine_framed_into ~dst:ws.relay ws.fa ws.fb
   in
-  let receive ~own pkt expected =
-    match relay with
-    | Some pr -> check ~own pr expected
-    | None -> check ~own:Coding.Bitvec.empty pkt expected
+  let receive ~own framed expected =
+    if relayed then check ~own ws.relay expected
+    else check ~own:Coding.Bitvec.empty framed expected
   in
   let delivered_a =
-    if outcome.b_gets_a then receive ~own:wb pkt_a wa
+    if outcome.b_gets_a then receive ~own:ws.wb ws.fa ws.wa
     else begin
-      (* outage: b sees garbage; the CRC must catch it *)
-      ignore (check ~own:Coding.Bitvec.empty (Packet.corrupt rng pkt_a) wa);
+      (* outage: b sees garbage; the CRC must catch it. a's frame is not
+         read again, so it is damaged in place *)
+      Packet.flip_bits rng ws.fa;
+      ignore (check ~own:Coding.Bitvec.empty ws.fa ws.wa);
       false
     end
   in
-  let delivered_b = outcome.a_gets_b && receive ~own:wa pkt_b wb in
+  let delivered_b = outcome.a_gets_b && receive ~own:ws.wa ws.fb ws.wb in
   (delivered_a, delivered_b, !bit_errors)
 
 let run cfg =
@@ -222,10 +242,8 @@ let run cfg =
   let analytic_acc = ref 0. in
   let run_block index =
     let gains = Channel.Fading.draw cfg.fading in
-    let sched = instantaneous_schedule cfg gains in
-    (let s = Bidir.Gaussian.scenario_lin ~power:cfg.power ~gains in
-     let opt = Bidir.Optimize.sum_rate cfg.protocol Bidir.Bound.Inner s in
-     analytic_acc := !analytic_acc +. opt.Bidir.Optimize.sum_rate);
+    let sched = plan cfg gains in
+    analytic_acc := !analytic_acc +. sched.optimum;
     let bits_a = int_of_float (sched.ra *. float_of_int n) in
     let bits_b = int_of_float (sched.rb *. float_of_int n) in
     (* effective (floored) rates actually carried by the payloads *)
@@ -239,7 +257,7 @@ let run cfg =
     | Some phase -> Metrics.record_phase_outage metrics ~phase
     | None -> ());
     let delivered_a, delivered_b, errs =
-      move_bits rng ~outcome ~bits_a ~bits_b ~seq:index
+      move_bits rng ~outcome ~bits_a ~bits_b
     in
     for _ = 1 to errs do
       Metrics.record_bit_error metrics

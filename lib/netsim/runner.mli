@@ -45,10 +45,21 @@ val validate : config -> unit
 (** Raises [Invalid_argument] on malformed configurations (shared with
     the detailed simulator). *)
 
-val schedule_for : config -> Channel.Gains.t -> float array * float * float
-(** [(deltas, ra, rb)] the configuration would use for a block with the
-    given realised gains (the LP optimum for adaptive mode, the fixed
-    schedule otherwise). Exposed for the detailed simulator. *)
+type plan = {
+  deltas : float array;
+  ra : float;
+  rb : float;
+  optimum : float;
+      (** the LP-optimal instantaneous sum rate at the block's gains *)
+}
+(** A block's schedule and its analytic benchmark. *)
+
+val plan : config -> Channel.Gains.t -> plan
+(** The schedule the configuration uses for a block with the given
+    realised gains (the LP optimum for adaptive mode, the fixed schedule
+    otherwise), and the optimum itself, from one
+    {!Bidir.Optimize.sum_rate} call. Exposed for the detailed
+    simulator. *)
 
 type block_outcome = {
   relay_ok : bool;

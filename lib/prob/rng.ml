@@ -74,17 +74,36 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 let fill_bits t buf len =
   if len < 0 || len > 8 * Bytes.length buf then
     invalid_arg "Rng.fill_bits: length out of range";
-  (* one draw per bit, as [bool] makes it; the state stays in a local
-     so that it is never boxed *)
-  let state = ref t.state and gamma = t.gamma in
-  for byte = 0 to ((len + 7) / 8) - 1 do
-    let acc = ref 0 in
-    for k = 0 to min 7 (len - (8 * byte) - 1) do
-      state := Int64.add !state gamma;
-      acc := !acc lor ((Int64.to_int (mix !state) land 1) lsl k)
-    done;
-    Bytes.unsafe_set buf byte (Char.unsafe_chr !acc)
+  (* one draw per bit, as [bool] makes it: eight straight-line draws per
+     whole byte, then one per bit of the last partial byte. The state
+     stays in a local so that it is never boxed. *)
+  let gamma = t.gamma in
+  let state = ref t.state in
+  let[@inline] bit s k = (Int64.to_int (mix s) land 1) lsl k in
+  for byte = 0 to (len / 8) - 1 do
+    let s0 = Int64.add !state gamma in
+    let s1 = Int64.add s0 gamma in
+    let s2 = Int64.add s1 gamma in
+    let s3 = Int64.add s2 gamma in
+    let s4 = Int64.add s3 gamma in
+    let s5 = Int64.add s4 gamma in
+    let s6 = Int64.add s5 gamma in
+    let s7 = Int64.add s6 gamma in
+    state := s7;
+    Bytes.unsafe_set buf byte
+      (Char.unsafe_chr
+         (bit s0 0 lor bit s1 1 lor bit s2 2 lor bit s3 3 lor bit s4 4
+          lor bit s5 5 lor bit s6 6 lor bit s7 7))
   done;
+  let r = len land 7 in
+  if r > 0 then begin
+    let acc = ref 0 in
+    for k = 0 to r - 1 do
+      state := Int64.add !state gamma;
+      acc := !acc lor bit !state k
+    done;
+    Bytes.unsafe_set buf (len / 8) (Char.unsafe_chr !acc)
+  end;
   t.state <- !state
 
 let bernoulli t ~p = float t < p

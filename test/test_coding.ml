@@ -81,7 +81,10 @@ let test_bitvec_random_pinned () =
 
 (* A boxed draw per bit would cost ~6 minor words a bit; the bulk draw
    keeps the state unboxed, so a 30 kbit vector costs a handful of minor
-   words (its bytes go straight to the major heap). *)
+   words. Its 469-word buffer is over the minor heap's 256-word limit,
+   so it is allocated on the major heap, which this count does not see;
+   the simulator reuses buffers through [random_into] instead (see the
+   warm-block test in netsim.runner). *)
 let test_bitvec_random_alloc () =
   let rng = Prob.Rng.create ~seed:9 in
   ignore (Sys.opaque_identity (Coding.Bitvec.random rng 30_000));
@@ -90,6 +93,29 @@ let test_bitvec_random_alloc () =
   let words = Gc.minor_words () -. w0 in
   if words >= 64. then
     Alcotest.failf "Bitvec.random 30 kbit allocated %.0f minor words" words
+
+(* [fill_bits] into a longer buffer writes bytes [0, (len+7)/8) only,
+   zero-pads the last of them, draws as [bool] does and leaves the
+   generator where those draws would. Lengths 0..130 cover every
+   residue mod 8 on both sides of the eight-draw loop. *)
+let test_fill_bits_longer_buffer () =
+  for len = 0 to 130 do
+    let rng = Prob.Rng.create ~seed:(100 + len) in
+    let twin = Prob.Rng.copy rng in
+    let buf = Bytes.make 24 '\xA5' in
+    Prob.Rng.fill_bits rng buf len;
+    let nb = (len + 7) / 8 in
+    for i = 0 to (8 * nb) - 1 do
+      let got = Char.code (Bytes.get buf (i / 8)) land (1 lsl (i mod 8)) <> 0 in
+      let want = i < len && Prob.Rng.bool twin in
+      if got <> want then Alcotest.failf "len %d: bit %d" len i
+    done;
+    for j = nb to Bytes.length buf - 1 do
+      if Bytes.get buf j <> '\xA5' then Alcotest.failf "len %d: wrote byte %d" len j
+    done;
+    if Prob.Rng.next_int64 rng <> Prob.Rng.next_int64 twin then
+      Alcotest.failf "len %d: generator state" len
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Crc                                                                 *)
@@ -376,11 +402,49 @@ let prop_random_stream =
       Coding.Bitvec.equal v expected
       && Prob.Rng.next_int64 rng = Prob.Rng.next_int64 twin)
 
+(* One set of vectors carries block after block, as the simulator's
+   per-domain workspace does. Each block starts long and the sequence
+   ends short, with [len_b = 0] as in DT and NAIVE. Every payload, frame
+   and relay word must equal the allocating forms run on fresh vectors,
+   and the relay word must check out against both messages: a stale
+   byte left past a shrunk vector would show there. *)
+let prop_reused_vectors =
+  QCheck.Test.make ~count:100 ~name:"reused vectors = fresh ones (block sequences)"
+    QCheck.(pair int (list_of_size Gen.(0 -- 6) (pair (int_bound 3000) (int_bound 3000))))
+    (fun (seed, blocks) ->
+      let blocks = ((2900, 2100) :: blocks) @ [ (37, 0); (0, 0) ] in
+      let v () = Coding.Bitvec.create 0 in
+      let wa = v () and wb = v () and fa = v () and fb = v () and relay = v () in
+      let rng = Prob.Rng.create ~seed in
+      let twin = Prob.Rng.copy rng in
+      let eq = Coding.Bitvec.equal in
+      let check ~own framed expected =
+        Coding.Xor_relay.check_framed ~own framed ~expected = Some true
+      in
+      List.for_all
+        (fun (la, lb) ->
+          Coding.Bitvec.random_into rng wa la;
+          Coding.Bitvec.random_into rng wb lb;
+          Coding.Crc.append_crc16_into ~dst:fa wa;
+          Coding.Crc.append_crc16_into ~dst:fb wb;
+          let relayed = Coding.Xor_relay.combine_framed_into ~dst:relay fa fb in
+          let a = ref_init la (fun _ -> Prob.Rng.bool twin) in
+          let b = ref_init lb (fun _ -> Prob.Rng.bool twin) in
+          let fresh_fa = Coding.Crc.append_crc16 a
+          and fresh_fb = Coding.Crc.append_crc16 b in
+          eq wa a && eq wb b && eq fa fresh_fa && eq fb fresh_fb && relayed
+          && (match Coding.Xor_relay.combine_framed fresh_fa fresh_fb with
+             | Some r -> eq relay r
+             | None -> false)
+          && check ~own:wb relay wa && check ~own:wa relay wb
+          && check ~own:Coding.Bitvec.empty fb wb)
+        blocks)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_xor_relay_round_trip; prop_crc16_oracle; prop_append_oracle;
       prop_sub_oracle; prop_xor_oracle; prop_check_framed_oracle;
-      prop_combine_framed_oracle; prop_random_stream ]
+      prop_combine_framed_oracle; prop_random_stream; prop_reused_vectors ]
 
 let suites =
   [ ( "coding.bitvec",
@@ -395,6 +459,7 @@ let suites =
         Alcotest.test_case "random deterministic" `Quick test_bitvec_random_deterministic;
         Alcotest.test_case "random pinned" `Quick test_bitvec_random_pinned;
         Alcotest.test_case "random allocation budget" `Quick test_bitvec_random_alloc;
+        Alcotest.test_case "fill_bits into a longer buffer" `Quick test_fill_bits_longer_buffer;
       ] );
     ( "coding.crc",
       [ Alcotest.test_case "detects bit flips" `Quick test_crc_detects_flip;

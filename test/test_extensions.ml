@@ -1,5 +1,5 @@
-(* Tests for the extension modules: ergodic/fading analysis, relay
-   selection, and the proportional-fair operating point. *)
+(* Tests for the extension modules: ergodic/fading analysis and relay
+   selection. *)
 
 let check_float ?(eps = 1e-7) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -154,73 +154,8 @@ let test_selection_gain () =
   Alcotest.(check bool) "both positive" true (fixed > 0.)
 
 (* ------------------------------------------------------------------ *)
-(* Proportional fairness                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_max_product_on_symmetric_region () =
-  (* symmetric bound system: PF point must sit on the diagonal *)
-  let mi =
-    { Bidir.Templates.ab = 1.;
-      ba = 1.;
-      ar = 2.;
-      br = 2.;
-      ra = 2.;
-      rb = 2.;
-      mac_a = 2.;
-      mac_b = 2.;
-      mac_sum = 3.;
-      a_rb = 2.2;
-      b_ra = 2.2;
-    }
-  in
-  let b = Bidir.Templates.mabc Bidir.Bound.Inner mi in
-  let pf = Bidir.Rate_region.max_product b in
-  check_float ~eps:1e-4 "diagonal" pf.Numerics.Vec2.x pf.Numerics.Vec2.y
-
-let test_max_product_dominates_vertices () =
-  let s = Bidir.Gaussian.scenario ~power_db:10. ~gains:paper_gains in
-  List.iter
-    (fun p ->
-      let b = Bidir.Gaussian.bounds p Bidir.Bound.Inner s in
-      let pf = Bidir.Rate_region.max_product b in
-      let pf_product = pf.Numerics.Vec2.x *. pf.Numerics.Vec2.y in
-      List.iter
-        (fun (v : Numerics.Vec2.t) ->
-          Alcotest.(check bool)
-            (Bidir.Protocol.name p ^ " PF >= vertex product")
-            true
-            (pf_product >= (v.Numerics.Vec2.x *. v.Numerics.Vec2.y) -. 1e-9))
-        (Bidir.Rate_region.boundary b);
-      (* and the PF point itself is achievable *)
-      Alcotest.(check bool) "PF point achievable" true
-        (Bidir.Rate_region.achievable b ~ra:pf.Numerics.Vec2.x
-           ~rb:pf.Numerics.Vec2.y))
-    Bidir.Protocol.all
-
-let test_max_product_beats_sum_corner_products () =
-  (* the PF point's product is at least that of the sum-rate optimum *)
-  let s = Bidir.Gaussian.scenario ~power_db:10. ~gains:paper_gains in
-  let b = Bidir.Gaussian.bounds Bidir.Protocol.Tdbc Bidir.Bound.Inner s in
-  let sum = Bidir.Rate_region.max_sum_rate b in
-  let pf = Bidir.Rate_region.max_product b in
-  Alcotest.(check bool) "pf product >= sum-point product" true
-    (pf.Numerics.Vec2.x *. pf.Numerics.Vec2.y
-     >= (sum.Bidir.Rate_region.ra *. sum.Bidir.Rate_region.rb) -. 1e-9)
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let prop_pf_achievable =
-  QCheck.Test.make ~count:40 ~name:"PF point always achievable"
-    QCheck.(pair (float_range (-5.) 15.) (int_range 0 4))
-    (fun (power_db, pidx) ->
-      let protocol = List.nth Bidir.Protocol.all pidx in
-      let s = Bidir.Gaussian.scenario ~power_db ~gains:paper_gains in
-      let b = Bidir.Gaussian.bounds protocol Bidir.Bound.Inner s in
-      let pf = Bidir.Rate_region.max_product b in
-      Bidir.Rate_region.achievable b ~ra:pf.Numerics.Vec2.x
-        ~rb:pf.Numerics.Vec2.y)
 
 let prop_selection_monotone_in_candidates =
   QCheck.Test.make ~count:20 ~name:"more candidates never hurt selection"
@@ -238,7 +173,7 @@ let prop_selection_monotone_in_candidates =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_pf_achievable; prop_selection_monotone_in_candidates ]
+    [ prop_selection_monotone_in_candidates ]
 
 let suites =
   [ ( "bidir.ergodic",
@@ -260,14 +195,6 @@ let suites =
           test_best_protocol_restriction;
         Alcotest.test_case "empty" `Quick test_best_empty;
         Alcotest.test_case "selection gain" `Quick test_selection_gain;
-      ] );
-    ( "bidir.proportional_fair",
-      [ Alcotest.test_case "symmetric diagonal" `Quick
-          test_max_product_on_symmetric_region;
-        Alcotest.test_case "dominates vertices" `Quick
-          test_max_product_dominates_vertices;
-        Alcotest.test_case "beats sum corner" `Quick
-          test_max_product_beats_sum_corner_products;
       ] );
     ("bidir.extensions.properties", qcheck_cases);
   ]

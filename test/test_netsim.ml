@@ -296,6 +296,33 @@ let test_dt_routes_directly () =
   done;
   Alcotest.(check bool) "some blocks decode" true (!decoded > 0)
 
+(* A warm block keeps off the major heap: its payloads, frames and relay
+   word live in the domain's reused workspace (the parent layout spent
+   ~1,500 major words a block on them). After one warm-up cycle, 100
+   one-block runs cycling the five protocols may add at most 64 major
+   words a block. [Gc.counters] counts this domain's major allocations
+   as they happen; [Gc.quick_stat]'s figure moves only at a major
+   slice. *)
+let test_warm_block_major_alloc () =
+  let protocols = Array.of_list Bidir.Protocol.all in
+  let run i =
+    ignore
+      (Sys.opaque_identity
+         (Netsim.Runner.run
+            (Netsim.Runner.default_config ~blocks:1 ~seed:i
+               ~protocol:protocols.(i mod Array.length protocols)
+               ~power_db:10. ~gains:paper_gains ())))
+  in
+  Array.iteri (fun i _ -> run i) protocols;
+  let major () = let _, _, m = Gc.counters () in m in
+  let m0 = major () in
+  for i = 0 to 99 do
+    run i
+  done;
+  let per_block = (major () -. m0) /. 100. in
+  if per_block > 64. then
+    Alcotest.failf "a warm block allocated %.1f major words" per_block
+
 let test_backoff_under_fading_reduces_outage () =
   let fading seed = Channel.Fading.create ~rng_seed:seed ~mean:paper_gains () in
   let base =
@@ -518,6 +545,7 @@ let suites =
         Alcotest.test_case "ordering matches paper" `Quick test_simulated_ordering_matches_paper;
         Alcotest.test_case "consistent with bounds" `Quick test_decode_outcome_consistent_with_bounds;
         Alcotest.test_case "DT routes directly" `Quick test_dt_routes_directly;
+        Alcotest.test_case "warm block off the major heap" `Quick test_warm_block_major_alloc;
         Alcotest.test_case "fading: adaptive vs fixed" `Quick test_backoff_under_fading_reduces_outage;
         Alcotest.test_case "determinism" `Quick test_runner_determinism;
         Alcotest.test_case "seeded results pinned" `Quick test_runner_pinned;
